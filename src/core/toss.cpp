@@ -121,9 +121,14 @@ void TossFunction::cold_boot_rung(MicroVm& vm, const Invocation& inv,
   rec.recovery.fallback = FallbackLevel::kColdBoot;
   if (!boot_execute_with_retry(vm, inv, &rec.result, &rec.recovery))
     rec.recovery.completed = false;
-  // A cold start's authoritative contents are the fresh guest image.
-  rec.recovery.expected_hash =
-      hash_memory(GuestMemory(model_->guest_bytes()));
+  // A cold start's authoritative contents are the fresh guest image. The
+  // guest size is fixed, so its hash is computed on the first cold boot.
+  if (!zero_image_hash_)
+    zero_image_hash_ = hash_memory(GuestMemory(model_->guest_bytes()));
+  TOSS_ASSERT(*zero_image_hash_ ==
+                  hash_memory(GuestMemory(model_->guest_bytes())),
+              "memoized zero-image hash diverged");
+  rec.recovery.expected_hash = *zero_image_hash_;
   rec.recovery.memory_hash = hash_memory(vm.memory());
 }
 
@@ -181,7 +186,7 @@ TossInvocationRecord TossFunction::handle_initial(const Invocation& inv) {
   if (rec.snapshot_created) {
     // Oracle: the persisted snapshot must round-trip the guest exactly.
     rc.expected_hash =
-        hash_memory(store_->fetch_single_tier(single_tier_id_).materialize());
+        store_->fetch_single_tier(single_tier_id_).content_hash();
     unified_.emplace(model_->guest_pages(), options_.unified_change_epsilon);
     largest_ = Largest{inv.input, inv.seed, rec.result.exec.exec_ns};
     phase_ = TossPhase::kProfiling;
@@ -225,7 +230,7 @@ TossInvocationRecord TossFunction::handle_profiling(const Invocation& inv) {
   ++damon_invocations_;
 
   rc.memory_hash = hash_memory(vm.memory());
-  rc.expected_hash = hash_memory(snap->materialize());
+  rc.expected_hash = snap->content_hash();
 
   if (!largest_ || exec.exec_ns > largest_->exec_ns)
     largest_ = Largest{inv.input, inv.seed, exec.exec_ns};
@@ -375,7 +380,7 @@ TossInvocationRecord TossFunction::handle_tiered(const Invocation& inv) {
       // must reproduce bit-exactly.
       if (const SingleTierSnapshot* authority =
               store_->get_single_tier(single_tier_id_))
-        rc.expected_hash = hash_memory(authority->materialize());
+        rc.expected_hash = authority->content_hash();
       else
         rc.expected_hash = rc.memory_hash;
       // While the arbiter holds a non-trivial bound, the extra slowdown is
@@ -407,8 +412,8 @@ TossInvocationRecord TossFunction::handle_tiered(const Invocation& inv) {
     if (restore_execute_with_retry(vm, vanilla.plan_restore(), inv,
                                    &rec.result, &rc) == AttemptStatus::kOk) {
       rc.memory_hash = hash_memory(vm.memory());
-      rc.expected_hash = hash_memory(
-          store_->fetch_single_tier(single_tier_id_).materialize());
+      rc.expected_hash =
+          store_->fetch_single_tier(single_tier_id_).content_hash();
       return rec;
     }
   }

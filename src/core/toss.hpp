@@ -207,6 +207,8 @@ class TossFunction {
   DamonMonitor damon_;
   ReprofilePolicy reprofiler_;
   u64 damon_invocations_ = 0;
+  /// hash_memory of a fresh guest image, the cold-boot rung's authority.
+  std::optional<u64> zero_image_hash_;
 
   struct Largest {
     int input = 0;

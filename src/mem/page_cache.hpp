@@ -4,31 +4,18 @@
 // whether a guest page fault is satisfied from cached file pages (minor-ish
 // cost) or requires a disk read (major fault). The evaluation methodology
 // drops the cache between invocations, which `drop()` implements.
+//
+// Each file's cached pages are one bitmap (bit p of word p / 64), grown to
+// the highest page cached so far. Callers cache pages inside a file (plus at
+// most one readahead window past its end), so memory follows file sizes.
 #pragma once
 
-#include <unordered_set>
+#include <unordered_map>
+#include <vector>
 
 #include "mem/tier.hpp"
 
 namespace toss {
-
-/// Identifies a file-backed page: (file id, page index within file).
-struct FilePage {
-  u64 file_id = 0;
-  u64 page_index = 0;
-  bool operator==(const FilePage&) const = default;
-};
-
-struct FilePageHash {
-  size_t operator()(const FilePage& fp) const {
-    // 64-bit mix of the two fields.
-    u64 x = fp.file_id * 0x9e3779b97f4a7c15ULL ^ fp.page_index;
-    x ^= x >> 33;
-    x *= 0xff51afd7ed558ccdULL;
-    x ^= x >> 33;
-    return static_cast<size_t>(x);
-  }
-};
 
 class HostPageCache {
  public:
@@ -50,15 +37,23 @@ class HostPageCache {
   /// Cache pages [begin, begin+count) of a file (sequential prefetch).
   void fill_range(u64 file_id, u64 page_begin, u64 page_count);
 
-  /// `echo 3 > /proc/sys/vm/drop_caches` equivalent.
+  /// `echo 3 > /proc/sys/vm/drop_caches` equivalent. Frees one bitmap per
+  /// file: O(files), not O(pages cached).
   void drop();
 
-  u64 cached_pages() const { return static_cast<u64>(cached_.size()); }
+  u64 cached_pages() const { return cached_; }
   u64 readahead_pages() const { return readahead_; }
 
  private:
+  /// Cache pages [begin, begin+count) of a file; returns how many were
+  /// not cached before.
+  u64 set_range(u64 file_id, u64 begin, u64 count);
+
   u64 readahead_;
-  std::unordered_set<FilePage, FilePageHash> cached_;
+  u64 cached_ = 0;  ///< set bits across every file
+  // Looked up by id only, never iterated, so the unordered map cannot leak
+  // its order into a ledger.
+  std::unordered_map<u64, std::vector<u64>> files_;
 };
 
 }  // namespace toss

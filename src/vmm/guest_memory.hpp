@@ -36,4 +36,9 @@ class GuestMemory {
 /// recovered invocation ever observed wrong memory.
 u64 hash_memory(const GuestMemory& memory);
 
+/// The same hash over a bare page-version vector: hash_versions(m.versions())
+/// == hash_memory(m), so a snapshot can hash its stored versions without
+/// materializing a GuestMemory first.
+u64 hash_versions(const std::vector<u32>& versions);
+
 }  // namespace toss

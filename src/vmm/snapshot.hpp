@@ -24,10 +24,15 @@ class SingleTierSnapshot {
   /// Reconstruct guest memory contents from the snapshot file.
   GuestMemory materialize() const;
 
+  /// hash_memory(materialize()), computed once at construction: the
+  /// snapshot is immutable, so the oracle's authority hash never changes.
+  u64 content_hash() const;
+
  private:
   u64 file_id_ = 0;
   std::vector<u32> page_versions_;
   VmState vm_state_;
+  u64 content_hash_ = hash_versions({});
 };
 
 }  // namespace toss

@@ -1,5 +1,7 @@
 #include "vmm/snapshot_store.hpp"
 
+#include "util/contracts.hpp"
+
 namespace toss {
 
 SnapshotStore::SnapshotStore(const SystemConfig& cfg) : cfg_(&cfg) {}
@@ -45,6 +47,7 @@ void SnapshotStore::put_tiered(TieredSnapshot snapshot) {
   const u64 primary = snapshot.fast_file_id();
   for (size_t r = 1; r < snapshot.tier_count(); ++r)
     tiered_alias_.emplace(snapshot.file_id(r), primary);
+  // A fresh entry starts unverified, so its first verify recomputes.
   tiered_.emplace(primary, std::move(snapshot));
 }
 
@@ -54,16 +57,24 @@ u64 SnapshotStore::resolve_tiered(u64 file_id) const {
   return file_id;
 }
 
-TieredSnapshot* SnapshotStore::find_tiered(u64 file_id) {
+TieredSnapshot* SnapshotStore::find_tiered_for_damage(u64 file_id) {
   auto it = tiered_.find(resolve_tiered(file_id));
-  return it == tiered_.end() ? nullptr : &it->second;
+  if (it == tiered_.end()) return nullptr;
+  it->second.verified.store(false, std::memory_order_release);
+  return &it->second.snapshot;
 }
 
-const TieredSnapshot* SnapshotStore::get_tiered_unlocked(u64 file_id) const {
+const SnapshotStore::TieredEntry* SnapshotStore::get_tiered_entry_unlocked(
+    u64 file_id) const {
   const u64 fast_id = resolve_tiered(file_id);
   if (quarantined_.count(fast_id) > 0) return nullptr;
   auto it = tiered_.find(fast_id);
   return it == tiered_.end() ? nullptr : &it->second;
+}
+
+const TieredSnapshot* SnapshotStore::get_tiered_unlocked(u64 file_id) const {
+  const TieredEntry* entry = get_tiered_entry_unlocked(file_id);
+  return entry == nullptr ? nullptr : &entry->snapshot;
 }
 
 const TieredSnapshot* SnapshotStore::get_tiered(u64 file_id) const {
@@ -90,13 +101,14 @@ const TieredSnapshot& SnapshotStore::fetch_tiered(u64 file_id) {
   ExclusiveLatchGuard guard(latch_);
   if (faults_ != nullptr) {
     if (faults_->should_fire(FaultSite::kTierBitrot)) {
-      if (TieredSnapshot* snap = find_tiered(file_id);
+      if (TieredSnapshot* snap = find_tiered_for_damage(file_id);
           snap != nullptr && snap->fast_pages() > 0)
         snap->corrupt_fast_page(
             faults_->draw(FaultSite::kTierBitrot, snap->fast_pages()));
     }
     if (faults_->should_fire(FaultSite::kTierTruncate)) {
-      if (TieredSnapshot* snap = find_tiered(file_id)) snap->truncate_fast_file();
+      if (TieredSnapshot* snap = find_tiered_for_damage(file_id))
+        snap->truncate_fast_file();
     }
   }
   const TieredSnapshot* snap = get_tiered_unlocked(file_id);
@@ -110,16 +122,24 @@ const TieredSnapshot& SnapshotStore::fetch_tiered(u64 file_id) {
 }
 
 Result<void> SnapshotStore::verify_tiered_unlocked(u64 file_id) const {
-  const TieredSnapshot* snap = get_tiered_unlocked(file_id);
-  if (snap == nullptr)
+  const TieredEntry* entry = get_tiered_entry_unlocked(file_id);
+  if (entry == nullptr)
     return {ErrorCode::kSnapshotMissing,
             "tiered snapshot file " + std::to_string(file_id) +
                 (is_quarantined_unlocked(file_id) ? " is quarantined"
                                                   : " not found")};
-  if (const auto violation = snap->verify())
+  // The shared latch excludes every damage path, so a clean result cannot
+  // go stale while it is being recorded.
+  if (entry->verified.load(std::memory_order_acquire)) {
+    TOSS_ASSERT(!entry->snapshot.verify().has_value(),
+                "cached verify result outlived damage to the artifact");
+    return {};
+  }
+  if (const auto violation = entry->snapshot.verify())
     return {ErrorCode::kSnapshotCorrupted,
             "tiered snapshot file " + std::to_string(file_id) + ": " +
                 *violation};
+  entry->verified.store(true, std::memory_order_release);
   return {};
 }
 
@@ -156,7 +176,9 @@ u64 SnapshotStore::resident_tier_bytes(u64 file_id, size_t rank) const {
 void SnapshotStore::quarantine_tiered(u64 file_id) {
   ExclusiveLatchGuard guard(latch_);
   const u64 fast_id = resolve_tiered(file_id);
-  if (tiered_.count(fast_id) == 0) return;
+  auto it = tiered_.find(fast_id);
+  if (it == tiered_.end()) return;
+  it->second.verified.store(false, std::memory_order_release);
   if (quarantined_.insert(fast_id).second)
     quarantine_count_.fetch_add(1, std::memory_order_release);
 }
@@ -172,7 +194,7 @@ bool SnapshotStore::is_quarantined(u64 file_id) const {
 
 bool SnapshotStore::corrupt_tiered_page(u64 file_id, u64 fast_file_page) {
   ExclusiveLatchGuard guard(latch_);
-  TieredSnapshot* snap = find_tiered(file_id);
+  TieredSnapshot* snap = find_tiered_for_damage(file_id);
   if (snap == nullptr || fast_file_page >= snap->fast_pages()) return false;
   snap->corrupt_fast_page(fast_file_page);
   return true;
@@ -180,7 +202,7 @@ bool SnapshotStore::corrupt_tiered_page(u64 file_id, u64 fast_file_page) {
 
 bool SnapshotStore::truncate_tiered(u64 file_id) {
   ExclusiveLatchGuard guard(latch_);
-  TieredSnapshot* snap = find_tiered(file_id);
+  TieredSnapshot* snap = find_tiered_for_damage(file_id);
   if (snap == nullptr || snap->fast_pages() == 0) return false;
   snap->truncate_fast_file();
   return true;

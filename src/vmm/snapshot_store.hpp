@@ -83,7 +83,11 @@ class SnapshotStore {
 
   /// Content + structure verification of a stored tiered artifact:
   /// kSnapshotMissing for unknown/quarantined ids, kSnapshotCorrupted with
-  /// the first violation otherwise.
+  /// the first violation otherwise. A clean result is cached per damage
+  /// epoch: every path that can damage the blob (the fetch_tiered fault
+  /// sites, corrupt_tiered_page, truncate_tiered) and quarantine drop it,
+  /// so the checksums are recomputed only on the first verify after a put
+  /// or a damage. Checked builds recompute them on every call.
   Result<void> verify_tiered(u64 file_id) const;
 
   /// Bytes a restore of this snapshot id pins resident, split by tier.
@@ -121,13 +125,26 @@ class SnapshotStore {
   const SystemConfig& config() const { return *cfg_; }
 
  private:
+  /// A stored tiered artifact plus its verify cache. `verified` is true
+  /// once verify_tiered found the blob intact in the current damage epoch;
+  /// it is written under the shared latch by concurrent verifiers (hence
+  /// atomic) and cleared under the exclusive latch by every damage path.
+  struct TieredEntry {
+    explicit TieredEntry(TieredSnapshot s) : snapshot(std::move(s)) {}
+    TieredSnapshot snapshot;
+    mutable std::atomic<bool> verified{false};
+  };
+
   // _unlocked helpers assume latch_ is already held (shared or exclusive)
   // by the public wrapper; fetch_tiered holds it exclusive across fault
   // arming + lookup, so the lookups must not re-enter the latch.
   /// Resolve a tiered id through the deep-rank -> rank-0 alias map.
   u64 resolve_tiered(u64 file_id) const;
-  TieredSnapshot* find_tiered(u64 file_id);
+  /// Mutable access for the damage paths: starts a new damage epoch by
+  /// dropping the artifact's cached verify result.
+  TieredSnapshot* find_tiered_for_damage(u64 file_id);
   const SingleTierSnapshot* get_single_tier_unlocked(u64 file_id) const;
+  const TieredEntry* get_tiered_entry_unlocked(u64 file_id) const;
   const TieredSnapshot* get_tiered_unlocked(u64 file_id) const;
   bool is_quarantined_unlocked(u64 file_id) const;
   Result<void> verify_tiered_unlocked(u64 file_id) const;
@@ -146,7 +163,7 @@ class SnapshotStore {
   // Hash-map iteration order is not, and the det-unordered-iter lint rule
   // would reject it; id-ordered maps are deterministic by construction.
   std::map<u64, SingleTierSnapshot> single_tier_;
-  std::map<u64, TieredSnapshot> tiered_;
+  std::map<u64, TieredEntry> tiered_;
   std::map<u64, u64> tiered_alias_;  ///< deep-rank id -> rank-0 id
   std::set<u64> quarantined_;        ///< rank-0 ids
   HostPageCache page_cache_;

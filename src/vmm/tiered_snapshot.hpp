@@ -68,8 +68,9 @@ class TieredSnapshot {
   /// the bytes actually in its tier file, and the tier files must be exactly
   /// as long as the layout says. Returns std::nullopt when intact, else a
   /// description of the first violation ("entry 2: checksum mismatch ...").
-  /// The recovery ladder runs this before every tiered restore; a failure
-  /// quarantines the artifact instead of mapping it.
+  /// The recovery ladder verifies before every tiered restore, through
+  /// SnapshotStore::verify_tiered, which reruns this once per damage epoch;
+  /// a failure quarantines the artifact instead of mapping it.
   std::optional<std::string> verify() const;
 
   /// Fault/test hooks modelling at-rest damage to the rank-0 file. Checksums

@@ -2,11 +2,15 @@
 // the host page cache, plus the per-rank contention pools the ladder feeds.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <utility>
+
 #include "mem/access_cost.hpp"
 #include "mem/page_cache.hpp"
 #include "mem/placement.hpp"
 #include "mem/tier.hpp"
 #include "platform/concurrency.hpp"
+#include "util/rng.hpp"
 
 namespace toss {
 namespace {
@@ -382,6 +386,58 @@ TEST(PageCache, DropClearsEverything) {
   cache.drop();
   EXPECT_EQ(cache.cached_pages(), 0u);
   EXPECT_FALSE(cache.contains(1, 0));
+}
+
+TEST(PageCache, AgreesWithASetReference) {
+  // Differential test: random fill / fill_one / fill_range / drop /
+  // contains sequences against an ordered set of (file, page) pairs, over
+  // several files whose readahead windows overlap and cross word edges.
+  Rng rng(20251017);
+  for (const u64 readahead : {u64{1}, u64{7}, u64{32}, u64{100}}) {
+    HostPageCache cache(readahead);
+    std::set<std::pair<u64, u64>> ref;
+    const auto ref_fill = [&](u64 file, u64 begin, u64 count) {
+      u64 added = 0;
+      for (u64 p = begin; p < begin + count; ++p)
+        added += ref.emplace(file, p).second ? 1 : 0;
+      return added;
+    };
+    for (int op = 0; op < 4000; ++op) {
+      const u64 file = 1 + rng.next_below(4);
+      const u64 page = rng.next_below(600);
+      switch (rng.next_below(10)) {
+        case 0: case 1: case 2:
+          ASSERT_EQ(cache.fill(file, page), ref_fill(file, page, readahead))
+              << "op " << op;
+          break;
+        case 3:
+          cache.fill_one(file, page);
+          ref_fill(file, page, 1);
+          break;
+        case 4: {
+          const u64 count = rng.next_below(200);
+          cache.fill_range(file, page, count);
+          ref_fill(file, page, count);
+          break;
+        }
+        case 5:
+          if (rng.next_below(20) == 0) {
+            cache.drop();
+            ref.clear();
+          }
+          break;
+        default:
+          ASSERT_EQ(cache.contains(file, page), ref.count({file, page}) > 0)
+              << "op " << op;
+      }
+      ASSERT_EQ(cache.cached_pages(), ref.size()) << "op " << op;
+    }
+    // Full sweep: every page of every file agrees at the end.
+    for (u64 file = 0; file <= 5; ++file)
+      for (u64 p = 0; p < 1000; ++p)
+        ASSERT_EQ(cache.contains(file, p), ref.count({file, p}) > 0)
+            << file << ":" << p;
+  }
 }
 
 }  // namespace

@@ -73,6 +73,36 @@ TEST(SingleTierSnapshot, MaterializeMatchesSource) {
   EXPECT_EQ(snap.materialize(), mem);
 }
 
+TEST(SingleTierSnapshot, ContentHashIsTheMaterializedHash) {
+  for (const u64 pages : {u64{1}, u64{17}, u64{64}, u64{1000}}) {
+    const GuestMemory mem = patterned_memory(pages);
+    const SingleTierSnapshot snap(7, mem, VmState{});
+    EXPECT_EQ(snap.content_hash(), hash_memory(snap.materialize())) << pages;
+    EXPECT_EQ(snap.content_hash(), hash_memory(mem)) << pages;
+    EXPECT_EQ(hash_versions(mem.versions()), hash_memory(mem)) << pages;
+  }
+  // A zero image and an empty snapshot hash like their materializations.
+  const SingleTierSnapshot zero(1, GuestMemory(bytes_for_pages(64)), VmState{});
+  EXPECT_EQ(zero.content_hash(), hash_memory(zero.materialize()));
+  EXPECT_EQ(SingleTierSnapshot().content_hash(),
+            hash_memory(SingleTierSnapshot().materialize()));
+  // One page's version moves the hash.
+  GuestMemory bumped = patterned_memory(64);
+  bumped.bump_version(63);
+  EXPECT_NE(SingleTierSnapshot(2, bumped, VmState{}).content_hash(),
+            hash_memory(patterned_memory(64)));
+}
+
+TEST(SnapshotStore, PutSingleTierMemoizesTheContentHash) {
+  const SystemConfig cfg = SystemConfig::paper_default();
+  SnapshotStore store(cfg);
+  const GuestMemory mem = patterned_memory(48);
+  const u64 id = store.put_single_tier(mem, VmState{});
+  const SingleTierSnapshot& snap = store.fetch_single_tier(id);
+  EXPECT_EQ(snap.content_hash(), hash_memory(mem));
+  EXPECT_EQ(snap.content_hash(), hash_memory(snap.materialize()));
+}
+
 TEST(LayoutFile, ValidityRules) {
   // Valid: fast at 0..3, slow at 4..7, fast continues at 8..9.
   MemoryLayoutFile ok(10, {{tier_index(0), 0, 0, 4},
@@ -542,6 +572,46 @@ TEST_F(SnapshotFailureTest, VerifyTieredDetectsTruncation) {
   EXPECT_FALSE(store.truncate_tiered(999));
 }
 
+TEST_F(SnapshotFailureTest, EveryDamageHookFailsTheNextVerify) {
+  // verify_tiered caches a clean result per damage epoch; each damage hook
+  // must start a new epoch so the very next verify recomputes and fails.
+  const auto expect_corrupted = [&](u64 id, const char* route) {
+    const auto v = store.verify_tiered(id);
+    ASSERT_FALSE(v.ok()) << route;
+    EXPECT_EQ(v.code(), ErrorCode::kSnapshotCorrupted) << route;
+  };
+  EXPECT_TRUE(store.verify_tiered(fast_id).ok());
+  EXPECT_TRUE(store.verify_tiered(slow_id).ok());  // cached, via the alias
+  ASSERT_TRUE(store.corrupt_tiered_page(slow_id, 3));
+  expect_corrupted(fast_id, "corrupt_tiered_page");
+  expect_corrupted(fast_id, "corrupt_tiered_page, second verify");
+
+  // A regenerated artifact put under fresh ids verifies clean, and stays
+  // clean on the cached path.
+  const auto put_fresh = [&] {
+    PagePlacement placement(32, tier_index(0));
+    placement.set_range(8, 8, tier_index(1));
+    const u64 fast = store.allocate_file_id();
+    const u64 slow = store.allocate_file_id();
+    store.put_tiered(TieredSnapshot::build(*store.get_single_tier(single_id),
+                                           placement, {fast, slow}));
+    return fast;
+  };
+  const u64 regenerated = put_fresh();
+  EXPECT_TRUE(store.verify_tiered(regenerated).ok());
+  EXPECT_TRUE(store.verify_tiered(regenerated).ok());
+  ASSERT_TRUE(store.truncate_tiered(regenerated));
+  expect_corrupted(regenerated, "truncate_tiered");
+
+  // Quarantine drops the cached result too: the artifact reads as missing.
+  const u64 quarantined = put_fresh();
+  EXPECT_TRUE(store.verify_tiered(quarantined).ok());
+  store.quarantine_tiered(quarantined);
+  EXPECT_EQ(store.verify_tiered(quarantined).code(),
+            ErrorCode::kSnapshotMissing);
+  EXPECT_TRUE(store.verify_tiered(put_fresh()).ok());
+}
+
 TEST_F(SnapshotFailureTest, QuarantineHidesArtifactAndIsIdempotent) {
   // Quarantine via the slow-id alias; both ids become unreadable.
   store.quarantine_tiered(slow_id);
@@ -758,6 +828,51 @@ TEST(SnapshotStoreFaults, TornPutLeavesPreviousGenerationReadable) {
   store.put_tiered(tiered);  // retry lands: only the schedule's arm tears
   ASSERT_NE(store.get_tiered(fast_id), nullptr);
   EXPECT_EQ(store.get_tiered(fast_id)->materialize(), patterned_memory(32));
+  EXPECT_EQ(injector.total_fires(), 2u);
+  store.attach_faults(nullptr);
+}
+
+TEST(SnapshotStoreFaults, FetchDamageFailsTheNextVerify) {
+  if (!fault_injection_enabled())
+    GTEST_SKIP() << "requires -DTOSS_FAULTS=ON";
+  const SystemConfig cfg = SystemConfig::paper_default();
+  SnapshotStore store(cfg);
+  const u64 single_id = store.put_single_tier(patterned_memory(32), VmState{});
+  const auto put_fresh = [&] {
+    PagePlacement placement(32, tier_index(0));
+    placement.set_range(16, 16, tier_index(1));
+    const u64 fast = store.allocate_file_id();
+    const u64 slow = store.allocate_file_id();
+    store.put_tiered(TieredSnapshot::build(*store.get_single_tier(single_id),
+                                           placement, {fast, slow}));
+    return fast;
+  };
+
+  // The first fetch rots a fast page, the second truncates the fast file.
+  FaultPlan plan;
+  plan.seed = 11;
+  plan.set(FaultSite::kTierBitrot, {.schedule = {0}});
+  plan.set(FaultSite::kTierTruncate, {.schedule = {1}});
+  FaultInjector injector(plan, 0);
+  store.attach_faults(&injector);
+
+  const u64 rotted = put_fresh();
+  EXPECT_TRUE(store.verify_tiered(rotted).ok());
+  store.fetch_tiered(rotted);
+  EXPECT_EQ(injector.fires(FaultSite::kTierBitrot), 1u);
+  EXPECT_EQ(store.verify_tiered(rotted).code(), ErrorCode::kSnapshotCorrupted);
+
+  const u64 truncated = put_fresh();
+  EXPECT_TRUE(store.verify_tiered(truncated).ok());
+  store.fetch_tiered(truncated);
+  EXPECT_EQ(injector.fires(FaultSite::kTierTruncate), 1u);
+  EXPECT_EQ(store.verify_tiered(truncated).code(),
+            ErrorCode::kSnapshotCorrupted);
+
+  // Quiet fetches leave a fresh artifact verifying clean.
+  const u64 regenerated = put_fresh();
+  store.fetch_tiered(regenerated);
+  EXPECT_TRUE(store.verify_tiered(regenerated).ok());
   EXPECT_EQ(injector.total_fires(), 2u);
   store.attach_faults(nullptr);
 }
