@@ -94,9 +94,10 @@ void print_fig9(const SystemConfig& cfg) {
   std::printf("ladder: %s\n", ladder_label(cfg).c_str());
   const size_t num_models = FunctionRegistry::table1().models().size();
   std::vector<FunctionRows> per_function(num_models);
-  ThreadPool pool(ThreadPool::hardware_threads());
-  parallel_for(&pool, num_models,
-               [&](size_t i) { per_function[i] = fig9_rows_for(cfg, i); });
+  LaneExecutor executor(LaneExecutor::hardware_threads());
+  executor.run_epoch(num_models, [&](size_t i) {
+    per_function[i] = fig9_rows_for(cfg, i);
+  });
 
   AsciiTable t({"function", "system", "K=1", "K=5", "K=10", "K=20"});
   OnlineStats toss20, reapw20;

@@ -4,8 +4,6 @@
 #include <cassert>
 #include <numeric>
 
-#include "util/thread_pool.hpp"
-
 namespace toss {
 
 Nanos BinProfiler::warm_exec_ns(const Invocation& inv,
@@ -16,8 +14,7 @@ Nanos BinProfiler::warm_exec_ns(const Invocation& inv,
 BinProfile BinProfiler::profile(const std::vector<Bin>& bins,
                                 const RegionList& zero_regions,
                                 u64 guest_pages,
-                                const Invocation& representative,
-                                ThreadPool* pool) const {
+                                const Invocation& representative) const {
   const size_t ranks = cfg_->tier_count();
   BinProfile out;
   out.base_placement = PagePlacement(guest_pages, tier_index(0));
@@ -39,61 +36,44 @@ BinProfile BinProfiler::profile(const std::vector<Bin>& bins,
   const std::vector<double> ratios = cfg_->rank_cost_ratios();
   const double guest_bytes = static_cast<double>(bytes_for_pages(guest_pages));
 
-  // Materialize the placement of every descent prefix. Pass p (p = 1 ..
-  // ranks-1) pushes each bin from rank p-1 to rank p, coldest first; the
-  // placements build on each other and are cheap; the expensive part —
-  // replaying the representative trace under each configuration — is
-  // independent per prefix, so it can fan out over the pool. Each result
-  // lands at its own index, keeping the profile bit-identical to the
-  // serial sweep.
-  std::vector<PagePlacement> prefix_placements;
+  // Replay the representative trace under every descent prefix. Pass p
+  // (p = 1 .. ranks-1) pushes each bin from rank p-1 to rank p, coldest
+  // first; each prefix's placement builds on the previous one.
   const size_t passes = ranks > 0 ? ranks - 1 : 0;
-  prefix_placements.reserve(order.size() * passes);
-  {
-    PagePlacement placement = out.base_placement;
-    for (size_t pass = 1; pass <= passes; ++pass) {
-      for (size_t idx : order) {
-        for (const Region& r : bins[idx].regions)
-          placement.set_range(r.page_begin, r.page_count, tier_index(pass));
-        prefix_placements.push_back(placement);
-      }
+  PagePlacement placement = out.base_placement;
+  Nanos prev_exec = out.base_exec_ns;
+  for (size_t pass = 1; pass <= passes; ++pass) {
+    for (size_t idx : order) {
+      const Bin& bin = bins[idx];
+      for (const Region& r : bin.regions)
+        placement.set_range(r.page_begin, r.page_count, tier_index(pass));
+      const Nanos exec = warm_exec_ns(representative, placement);
+
+      BinStep step;
+      step.bin_index = idx;
+      step.from_rank = pass - 1;
+      step.to_rank = pass;
+      step.byte_fraction = static_cast<double>(bin.bytes()) / guest_bytes;
+      step.marginal_slowdown =
+          out.base_exec_ns > 0 ? (exec - prev_exec) / out.base_exec_ns : 0.0;
+      // Timing noise can make a configuration marginally "faster"; clamp.
+      step.marginal_slowdown = std::max(0.0, step.marginal_slowdown);
+      step.cumulative_slowdown =
+          out.base_exec_ns > 0
+              ? std::max(0.0, exec / out.base_exec_ns - 1.0)
+              : 0.0;
+      step.slow_fraction = placement.slow_fraction();
+      step.cumulative_cost = ladder_normalized_cost(
+          1.0 + step.cumulative_slowdown, placement.deep_fractions(ranks),
+          ratios);
+      // Per-bin V-C test, charged at the rung the bin lands on.
+      step.bin_cost = bin_normalized_cost(step.marginal_slowdown,
+                                          step.byte_fraction, ratios[pass - 1]);
+      out.steps.push_back(step);
+      prev_exec = exec;
     }
   }
-  std::vector<Nanos> prefix_exec(prefix_placements.size(), 0);
-  parallel_for(pool, prefix_placements.size(), [&](size_t k) {
-    prefix_exec[k] = warm_exec_ns(representative, prefix_placements[k]);
-  });
-
-  for (size_t k = 0; k < prefix_placements.size(); ++k) {
-    const size_t pass = order.empty() ? 1 : k / order.size() + 1;
-    const Bin& bin = bins[order[k % order.size()]];
-    const Nanos prev_exec = k == 0 ? out.base_exec_ns : prefix_exec[k - 1];
-    const Nanos exec = prefix_exec[k];
-
-    BinStep step;
-    step.bin_index = order[k % order.size()];
-    step.from_rank = pass - 1;
-    step.to_rank = pass;
-    step.byte_fraction = static_cast<double>(bin.bytes()) / guest_bytes;
-    step.marginal_slowdown =
-        out.base_exec_ns > 0 ? (exec - prev_exec) / out.base_exec_ns : 0.0;
-    // Timing noise can make a configuration marginally "faster"; clamp.
-    step.marginal_slowdown = std::max(0.0, step.marginal_slowdown);
-    step.cumulative_slowdown =
-        out.base_exec_ns > 0
-            ? std::max(0.0, exec / out.base_exec_ns - 1.0)
-            : 0.0;
-    step.slow_fraction = prefix_placements[k].slow_fraction();
-    step.cumulative_cost = ladder_normalized_cost(
-        1.0 + step.cumulative_slowdown,
-        prefix_placements[k].deep_fractions(ranks), ratios);
-    // Per-bin V-C test, charged at the rung the bin lands on.
-    step.bin_cost = bin_normalized_cost(step.marginal_slowdown,
-                                        step.byte_fraction, ratios[pass - 1]);
-    out.steps.push_back(step);
-  }
-  out.full_slow_exec_ns =
-      prefix_exec.empty() ? out.base_exec_ns : prefix_exec.back();
+  out.full_slow_exec_ns = prev_exec;
   return out;
 }
 

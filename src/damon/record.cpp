@@ -26,6 +26,8 @@ PageAccessCounts DamonRecord::to_counts() const {
 
 namespace {
 constexpr u64 kMagic = 0x44414d4f4e524543ULL;  // "DAMONREC"
+/// Serialized size of one DamonRegion: three u64 words.
+constexpr u64 kRegionBytes = 24;
 
 void put_u64(std::vector<u8>& out, u64 v) {
   for (int i = 0; i < 8; ++i) out.push_back(static_cast<u8>(v >> (8 * i)));
@@ -42,7 +44,7 @@ bool get_u64(const std::vector<u8>& in, size_t& pos, u64& v) {
 
 std::vector<u8> DamonRecord::serialize() const {
   std::vector<u8> out;
-  out.reserve(24 + regions_.size() * 24);
+  out.reserve(24 + regions_.size() * kRegionBytes);
   put_u64(out, kMagic);
   put_u64(out, num_pages_);
   put_u64(out, regions_.size());
@@ -60,7 +62,11 @@ std::optional<DamonRecord> DamonRecord::deserialize(
   u64 magic = 0, num_pages = 0, count = 0;
   if (!get_u64(bytes, pos, magic) || magic != kMagic) return std::nullopt;
   if (!get_u64(bytes, pos, num_pages)) return std::nullopt;
-  if (!get_u64(bytes, pos, count)) return std::nullopt;
+  // Bound the count by the bytes left before reserving: a forged count
+  // would otherwise throw std::length_error out of reserve().
+  if (!get_u64(bytes, pos, count) ||
+      count > (bytes.size() - pos) / kRegionBytes)
+    return std::nullopt;
   std::vector<DamonRegion> regions;
   regions.reserve(count);
   for (u64 i = 0; i < count; ++i) {

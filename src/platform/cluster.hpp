@@ -74,14 +74,6 @@ struct ClusterOptions {
   /// Per-host health breaker: consecutive browned-out epochs open it
   /// (quarantine), a clean cooldown closes it (readmission).
   CircuitBreakerOptions health_breaker;
-  /// Step all hosts of an epoch concurrently on the shared executor: hosts
-  /// share no mutable state mid-epoch, so every alive host's lanes are
-  /// flattened into one work-stealing round and joined at the cluster
-  /// barrier; planning, barriers, faults, migration, failover and health
-  /// stay serial in host-index order, so ledgers are bit-identical with
-  /// this on or off (DESIGN.md §15). Off = step hosts one at a time
-  /// (lanes of one host still run in parallel).
-  bool parallel_hosts = true;
 };
 
 /// How a migration transaction ended.

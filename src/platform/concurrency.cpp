@@ -90,6 +90,10 @@ LaneExecutor::LaneExecutor(int threads) {
     workers_.emplace_back([this, i] { worker_loop(i); });
 }
 
+int LaneExecutor::hardware_threads() {
+  return std::max(1u, std::thread::hardware_concurrency());
+}
+
 LaneExecutor::~LaneExecutor() {
   stop_.store(true, std::memory_order_release);
   // The generation bump doubles as the shutdown signal: spinners see it
@@ -156,7 +160,7 @@ void LaneExecutor::work(size_t self) {
       try {
         (*fn)(index);
         // Not swallowed: captured whole and rethrown from run_epoch's
-        // join, mirroring parallel_for's contract.
+        // join.
       } catch (...) {  // toss-lint: allow(swallowed-error)
         record_error();
       }
@@ -170,7 +174,12 @@ void LaneExecutor::work(size_t self) {
 }
 
 void LaneExecutor::worker_loop(size_t self) {
-  u64 seen = epoch_gen_.load(std::memory_order_acquire);
+  // Every worker starts from the generation at construction (0), never
+  // from whatever the counter reads when its thread first runs: a worker
+  // scheduled after the first run_epoch() (or the destructor) has already
+  // bumped the generation would otherwise take that bump as its baseline
+  // and sleep through the epoch it was spawned to serve.
+  u64 seen = 0;
   for (;;) {
     // Wait for the next generation: spin first (back-to-back epochs), park
     // only when the drain has genuinely gone idle.
@@ -181,13 +190,8 @@ void LaneExecutor::worker_loop(size_t self) {
       if (gen == seen) {
         std::unique_lock<RankedMutex> lock(park_mu_);
         parked_.fetch_add(1, std::memory_order_release);
-        // The predicate must re-check stop_, not just the generation: a
-        // worker first scheduled after the destructor's final bump loads
-        // the post-shutdown generation as its baseline, so no further
-        // bump (or notify) is ever coming for it.
         park_cv_.wait(lock, [this, seen] {
-          return stop_.load(std::memory_order_acquire) ||
-                 epoch_gen_.load(std::memory_order_acquire) != seen;
+          return epoch_gen_.load(std::memory_order_acquire) != seen;
         });
         parked_.fetch_sub(1, std::memory_order_release);
         gen = epoch_gen_.load(std::memory_order_acquire);

@@ -47,7 +47,9 @@ namespace toss {
 enum class LockRank : int {
   kLaneExecutorQueue = 4,  ///< LaneExecutor per-worker deque mutexes
   kLaneExecutorPark = 6,   ///< LaneExecutor idle-park mutex
-  kEngineScheduler = 10,   ///< PlatformEngine ready-queue mutex
+  /// Host::mu_, which guards the host's first-failure record: lanes of
+  /// one epoch run concurrently and any of them may fail.
+  kEngineScheduler = 10,
   /// Historical top rank. The registry's series map moved to the
   /// optimistic version-stamped latch (util/optimistic.hpp), which the
   /// detector does not track; the rank remains as the ceiling any future
@@ -133,6 +135,9 @@ class LaneExecutor {
 
   /// Participants (workers + the caller).
   int thread_count() const { return static_cast<int>(workers_.size()) + 1; }
+
+  /// std::thread::hardware_concurrency with a floor of 1.
+  static int hardware_threads();
 
   /// Run fn(0..n-1) across the participants; returns when every index has
   /// completed. Inline when there are no workers or n <= 1. The first

@@ -87,10 +87,10 @@ u64 region_checksum(const std::vector<u32>& file, u64 file_page,
 
 namespace {
 // Version 3 is tier-indexed: a ladder-depth word follows guest_pages and
-// entry tier tags may name any rank below it. Version 2 (the two-tier
-// format with per-region checksums) is still accepted on read.
+// entry tier tags may name any rank below it.
 constexpr u64 kMagicV3 = 0x544f53534c415933ULL;  // "TOSSLAY3"
-constexpr u64 kMagicV2 = 0x544f53534c415932ULL;  // "TOSSLAY2"
+/// Serialized size of one LayoutEntry: five u64 words.
+constexpr u64 kEntryBytes = 40;
 
 void put_u64(std::vector<u8>& out, u64 v) {
   for (int i = 0; i < 8; ++i) out.push_back(static_cast<u8>(v >> (8 * i)));
@@ -107,7 +107,7 @@ bool get_u64(const std::vector<u8>& in, size_t& pos, u64& v) {
 
 std::vector<u8> MemoryLayoutFile::serialize() const {
   std::vector<u8> out;
-  out.reserve(32 + entries_.size() * 40);
+  out.reserve(32 + entries_.size() * kEntryBytes);
   put_u64(out, kMagicV3);
   put_u64(out, guest_pages_);
   put_u64(out, static_cast<u64>(tier_count_));
@@ -125,16 +125,17 @@ std::vector<u8> MemoryLayoutFile::serialize() const {
 std::optional<MemoryLayoutFile> MemoryLayoutFile::deserialize(
     const std::vector<u8>& bytes) {
   size_t pos = 0;
-  u64 magic = 0, guest_pages = 0, tier_count = 2, count = 0;
-  if (!get_u64(bytes, pos, magic)) return std::nullopt;
-  if (magic != kMagicV3 && magic != kMagicV2) return std::nullopt;
+  u64 magic = 0, guest_pages = 0, tier_count = 0, count = 0;
+  if (!get_u64(bytes, pos, magic) || magic != kMagicV3) return std::nullopt;
   if (!get_u64(bytes, pos, guest_pages)) return std::nullopt;
-  if (magic == kMagicV3) {
-    if (!get_u64(bytes, pos, tier_count) || tier_count < 1 ||
-        tier_count > kMaxTiers)
-      return std::nullopt;
-  }
-  if (!get_u64(bytes, pos, count)) return std::nullopt;
+  if (!get_u64(bytes, pos, tier_count) || tier_count < 1 ||
+      tier_count > kMaxTiers)
+    return std::nullopt;
+  // Bound the count by the bytes left before reserving: a forged count
+  // would otherwise throw std::length_error out of reserve().
+  if (!get_u64(bytes, pos, count) ||
+      count > (bytes.size() - pos) / kEntryBytes)
+    return std::nullopt;
   std::vector<LayoutEntry> entries;
   entries.reserve(count);
   for (u64 i = 0; i < count; ++i) {

@@ -7,7 +7,7 @@
 //
 // Since the tier-ladder redesign the layout is tier-indexed: entries carry
 // a ladder rank and the file records how deep the ladder was at tiering
-// time (format v3, "TOSSLAY3"). The two-tier v2 format is still readable.
+// time (format v3, "TOSSLAY3", the only one read back).
 #pragma once
 
 #include <optional>

@@ -1,11 +1,13 @@
 // Tests for the DESIGN.md §15 parallel data-plane primitives: the
 // work-stealing LaneExecutor (epoch fan-out, steal-half balancing,
-// exception propagation, the startup/shutdown generation race) and the
-// vmcache-style optimistic version-stamped latch. Configure with
+// exception propagation, the park-baseline rule at start-up and shutdown)
+// and the vmcache-style optimistic version-stamped latch. Configure with
 // -DTOSS_SANITIZE=thread to have TSan audit the lock-free paths.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
+#include <chrono>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -90,13 +92,15 @@ TEST(LaneExecutor, UnevenLanesAreStolen) {
 }
 
 TEST(LaneExecutor, RapidCreateDestroyDoesNotHang) {
-  // Regression: a worker first scheduled after ~LaneExecutor's final
-  // generation bump used to load the post-shutdown generation as its park
-  // baseline and wait on a wakeup that never comes (the park predicate did
-  // not re-check stop_). On a loaded single-core host this deadlocked the
-  // destructor's join. Rapid create/destroy cycles — with and without an
-  // epoch in between — maximize the window; the ctest timeout is the
-  // failure detector.
+  // Regression for the park-baseline rule: every worker waits for the
+  // generation to move past its construction-time value (0). A worker that
+  // instead read its baseline when its thread first ran, after
+  // ~LaneExecutor's final bump, took the post-shutdown generation as its
+  // baseline and waited for a wakeup that never came, deadlocking the
+  // destructor's join on a loaded single-core host (the same rule behind
+  // FirstEpochRunsOnEveryParticipant below). Rapid create/destroy cycles —
+  // with and without an epoch in between — maximize the window; the ctest
+  // timeout is the failure detector.
   for (int round = 0; round < 200; ++round) {
     LaneExecutor idle(4);  // destroyed before any worker may have run
   }
@@ -107,6 +111,29 @@ TEST(LaneExecutor, RapidCreateDestroyDoesNotHang) {
       ran.fetch_add(1, std::memory_order_relaxed);
     });
     ASSERT_EQ(ran.load(std::memory_order_relaxed), 4);
+  }
+}
+
+TEST(LaneExecutor, FirstEpochRunsOnEveryParticipant) {
+  // Regression for the park-baseline rule: a worker whose thread first ran
+  // after the first run_epoch() had bumped the generation used to take
+  // that bump as its baseline and park through the epoch, so the caller
+  // stole its slot and ran the whole first epoch alone. Each index here
+  // waits (bounded) for the other to start; both must have overlapped.
+  for (int round = 0; round < 50; ++round) {
+    LaneExecutor exec(2);
+    std::atomic<int> started{0};
+    std::array<bool, 2> overlapped{};
+    exec.run_epoch(2, [&](size_t k) {
+      started.fetch_add(1, std::memory_order_acq_rel);
+      // Bounded at ~2 s of 1 ms naps.
+      for (int nap = 0;
+           nap < 2000 && started.load(std::memory_order_acquire) < 2; ++nap)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      overlapped[k] = started.load(std::memory_order_acquire) == 2;
+    });
+    ASSERT_TRUE(overlapped[0] && overlapped[1])
+        << "round " << round << ": the first epoch ran serially";
   }
 }
 

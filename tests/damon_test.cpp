@@ -40,6 +40,19 @@ TEST(DamonRecord, DeserializeRejectsGarbage) {
   EXPECT_FALSE(DamonRecord::deserialize(bytes).has_value());
 }
 
+TEST(DamonRecord, DeserializeRejectsForgedRegionCount) {
+  // A count far beyond the bytes present must be rejected before anything
+  // is allocated for it, not thrown out of reserve().
+  auto bytes = DamonRecord(4, {{0, 4, 1}}).serialize();
+  for (const u64 forged : {u64{1} << 60, ~u64{0}}) {
+    for (size_t i = 0; i < 8; ++i)  // magic, num_pages, then the count
+      bytes[16 + i] = static_cast<u8>(forged >> (8 * i));
+    std::optional<DamonRecord> back;
+    EXPECT_NO_THROW(back = DamonRecord::deserialize(bytes));
+    EXPECT_FALSE(back.has_value());
+  }
+}
+
 class DamonMonitorTest : public ::testing::Test {
  protected:
   DamonConfig cfg;

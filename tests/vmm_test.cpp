@@ -23,32 +23,15 @@ GuestMemory patterned_memory(u64 pages) {
   return mem;
 }
 
-// Little-endian encoders mirroring the on-disk format, used to hand-craft
-// legacy (pre-ladder) byte streams for the backward-compatibility tests.
-void put_u64_le(std::vector<u8>& out, u64 v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<u8>(v >> (8 * i)));
+/// Overwrite the little-endian u64 word at byte offset `pos`, to forge a
+/// field of a serialized artifact.
+void poke_u64_le(std::vector<u8>& bytes, size_t pos, u64 v) {
+  for (size_t i = 0; i < 8; ++i) bytes[pos + i] = static_cast<u8>(v >> (8 * i));
 }
 
-void put_blob_le(std::vector<u8>& out, const std::vector<u8>& blob) {
-  put_u64_le(out, blob.size());
-  out.insert(out.end(), blob.begin(), blob.end());
-}
-
-/// The two-tier "TOSSLAY2" layout encoding: no ladder-depth word.
-std::vector<u8> encode_layout_v2(const MemoryLayoutFile& layout) {
-  std::vector<u8> out;
-  put_u64_le(out, 0x544f53534c415932ULL);  // "TOSSLAY2"
-  put_u64_le(out, layout.guest_pages());
-  put_u64_le(out, layout.entry_count());
-  for (const auto& e : layout.entries()) {
-    put_u64_le(out, tier_rank(e.tier));
-    put_u64_le(out, e.file_page);
-    put_u64_le(out, e.guest_page);
-    put_u64_le(out, e.page_count);
-    put_u64_le(out, e.checksum);
-  }
-  return out;
-}
+/// Magics of the pre-ladder formats, which no reader accepts any more.
+constexpr u64 kLayoutV2Magic = 0x544f53534c415932ULL;  // "TOSSLAY2"
+constexpr u64 kTieredV1Magic = 0x544f535354495231ULL;  // "TOSSTIR1"
 
 TEST(VmState, SerializeRoundtrip) {
   VmState s;
@@ -153,27 +136,27 @@ TEST(LayoutFile, ThreeTierSerializeRoundtrip) {
   EXPECT_DOUBLE_EQ(back->slow_fraction(), 2.0 / 3.0);
 }
 
-TEST(LayoutFile, ReadsLegacyTwoTierFormat) {
-  // A pre-ladder "TOSSLAY2" stream (no depth word) must deserialize to the
-  // same layout the v3 writer round-trips, with an implied two-rung ladder.
-  MemoryLayoutFile want(6, {{tier_index(0), 0, 0, 2},
-                            {tier_index(1), 0, 2, 3},
-                            {tier_index(0), 2, 5, 1}});
-  const auto back = MemoryLayoutFile::deserialize(encode_layout_v2(want));
-  ASSERT_TRUE(back.has_value());
-  EXPECT_EQ(back->tier_count(), 2u);
-  EXPECT_EQ(*back, want);
-  // Old-vs-new round trip: re-serializing the upgraded layout (now v3)
-  // reads back identically.
-  const auto again = MemoryLayoutFile::deserialize(back->serialize());
-  ASSERT_TRUE(again.has_value());
-  EXPECT_EQ(*again, want);
-}
-
 TEST(LayoutFile, DeserializeRejectsInvalid) {
   auto bytes = MemoryLayoutFile(4, {{tier_index(0), 0, 0, 4}}).serialize();
   bytes[8] ^= 1;  // corrupt guest_pages -> coverage fails
   EXPECT_FALSE(MemoryLayoutFile::deserialize(bytes).has_value());
+  auto bad_magic = MemoryLayoutFile(4, {{tier_index(0), 0, 0, 4}}).serialize();
+  bad_magic[0] ^= 0xff;
+  EXPECT_FALSE(MemoryLayoutFile::deserialize(bad_magic).has_value());
+  poke_u64_le(bad_magic, 0, kLayoutV2Magic);  // the pre-ladder format
+  EXPECT_FALSE(MemoryLayoutFile::deserialize(bad_magic).has_value());
+}
+
+TEST(LayoutFile, DeserializeRejectsForgedEntryCount) {
+  // A count far beyond the bytes present must be rejected before anything
+  // is allocated for it, not thrown out of reserve().
+  auto bytes = MemoryLayoutFile(4, {{tier_index(0), 0, 0, 4}}).serialize();
+  for (const u64 forged : {u64{1} << 60, ~u64{0}}) {
+    poke_u64_le(bytes, 24, forged);  // magic, guest_pages, depth, count
+    std::optional<MemoryLayoutFile> back;
+    EXPECT_NO_THROW(back = MemoryLayoutFile::deserialize(bytes));
+    EXPECT_FALSE(back.has_value());
+  }
 }
 
 class TieredSnapshotTest : public ::testing::Test {
@@ -255,37 +238,6 @@ TEST_F(TieredSnapshotTest, SerializeRoundtrip) {
   EXPECT_EQ(back->materialize(), mem);
 }
 
-TEST_F(TieredSnapshotTest, ReadsLegacyTwoTierArtifact) {
-  // Hand-encode the pre-ladder "TOSSTIR1" stream — magic, two file ids (no
-  // rank-count word), vm-state blob, v2 layout blob, fast then slow version
-  // arrays — and check the reader reconstructs the same artifact the new
-  // builder produces.
-  PagePlacement placement(kPages, tier_index(0));
-  placement.set_range(16, 48, tier_index(1));
-  const TieredSnapshot want =
-      TieredSnapshot::build(snap, placement, {4, 5});
-
-  std::vector<u8> v1;
-  put_u64_le(v1, 0x544f535354495231ULL);  // "TOSSTIR1"
-  put_u64_le(v1, want.file_id(0));
-  put_u64_le(v1, want.file_id(1));
-  put_blob_le(v1, want.vm_state().serialize());
-  put_blob_le(v1, encode_layout_v2(want.layout()));
-  for (size_t r = 0; r < 2; ++r) {
-    put_u64_le(v1, want.tier_pages(r));
-    for (u64 p = 0; p < want.tier_pages(r); ++p) {
-      const u32 v = want.tier_page_version(r, p);
-      for (int b = 0; b < 4; ++b) v1.push_back(static_cast<u8>(v >> (8 * b)));
-    }
-  }
-
-  const auto back = TieredSnapshot::deserialize(v1);
-  ASSERT_TRUE(back.has_value());
-  EXPECT_EQ(*back, want);
-  EXPECT_EQ(back->materialize(), mem);
-  EXPECT_EQ(back->verify(), std::nullopt);
-}
-
 TEST_F(TieredSnapshotTest, DeserializeRejectsCorruption) {
   PagePlacement placement(kPages, tier_index(0));
   placement.set_range(0, 64, tier_index(1));
@@ -296,9 +248,45 @@ TEST_F(TieredSnapshotTest, DeserializeRejectsCorruption) {
   auto bad_magic = bytes;
   bad_magic[0] ^= 0xff;
   EXPECT_FALSE(TieredSnapshot::deserialize(bad_magic).has_value());
+  poke_u64_le(bad_magic, 0, kTieredV1Magic);  // the pre-ladder format
+  EXPECT_FALSE(TieredSnapshot::deserialize(bad_magic).has_value());
   auto truncated = bytes;
   truncated.resize(truncated.size() / 2);
   EXPECT_FALSE(TieredSnapshot::deserialize(truncated).has_value());
+}
+
+TEST_F(TieredSnapshotTest, DeserializeRejectsForgedLengths) {
+  // Length words sized to wrap `pos + length` past 2^64 back inside the
+  // buffer must be rejected, never turned into a reversed range or a huge
+  // allocation.
+  PagePlacement placement(kPages, tier_index(0));
+  placement.set_range(0, 64, tier_index(1));
+  const TieredSnapshot tiered =
+      TieredSnapshot::build(snap, placement, {7, 8});
+  const std::vector<u8> bytes = tiered.serialize();
+  auto parse = [](const std::vector<u8>& forged) {
+    std::optional<TieredSnapshot> back;
+    EXPECT_NO_THROW(back = TieredSnapshot::deserialize(forged));
+    return back.has_value();
+  };
+
+  // The vm-state blob length follows the magic, the rank count and one
+  // file id per rank; the blob starts right after it.
+  const size_t blob_len_at = 16 + 8 * tiered.tier_count();
+  auto forged_blob = bytes;
+  poke_u64_le(forged_blob, blob_len_at, u64{0} - (blob_len_at + 8) + 1);
+  EXPECT_FALSE(parse(forged_blob));
+
+  // The rank-0 page-version count: every tier file is a count word plus
+  // four bytes per page, stored last.
+  size_t count_at = bytes.size();
+  for (size_t r = 0; r < tiered.tier_count(); ++r)
+    count_at -= 8 + 4 * tiered.tier_pages(r);
+  for (const u64 forged : {u64{1} << 62, ~u64{0} / 4}) {
+    auto forged_count = bytes;
+    poke_u64_le(forged_count, count_at, forged);
+    EXPECT_FALSE(parse(forged_count));
+  }
 }
 
 TEST(SnapshotStore, IdsAndLookup) {
