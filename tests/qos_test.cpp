@@ -8,6 +8,7 @@
 // QoS engaged every ledger stays bit-identical across thread counts.
 #include <gtest/gtest.h>
 
+#include <initializer_list>
 #include <memory>
 #include <string>
 #include <vector>
@@ -440,6 +441,41 @@ TEST(QosEngine, EdfServesTheTightDeadlineQueuedBehindSlackWork) {
   const FunctionReport& p = plain.functions[0];
   EXPECT_EQ(p.overload.completed, 2u);
   EXPECT_EQ(p.overload.shed_by(ShedCause::kDeadlineExpired), 1u);
+}
+
+TEST(QosEngine, DefaultKnobClassedLaneServesEarliestDeadlineFirst) {
+  // A QoS class alone engages EDF, with no overload knob set: all three
+  // requests arrive at t=0 and the one with a deadline is served before the
+  // two without, which keep their queue order. The engine's outcomes equal
+  // a serial invoke loop over the same registration in that order.
+  std::vector<Request> stream = RequestGenerator::round_robin(3, 5);
+  stream[2].deadline_ns = ms(1);
+  const EngineReport report =
+      single_lane(EngineOptions{}, stream, QosClass::kGold)->run(1).value();
+  const FunctionReport& f = report.functions[0];
+  EXPECT_EQ(f.overload.offered, 3u);
+  EXPECT_EQ(f.overload.completed, 3u);
+  EXPECT_EQ(f.overload.total_shed(), 0u);
+
+  const auto serial = [&](std::initializer_list<size_t> order) {
+    ServerlessPlatform platform;
+    FunctionRegistration reg(workloads::all_functions()[0]);
+    reg.policy(PolicyKind::kToss).toss(fast_toss()).seed(42).qos(
+        QosClass::kGold);
+    EXPECT_TRUE(platform.register_function(reg).ok());
+    std::vector<Nanos> totals;
+    for (const size_t i : order)
+      totals.push_back(platform.invoke(reg.spec().name, stream[i].input,
+                                       stream[i].seed)
+                           .value()
+                           .result.total_ns());
+    return totals;
+  };
+  std::vector<Nanos> served;
+  for (const InvocationOutcome& o : f.outcomes)
+    served.push_back(o.result.total_ns());
+  EXPECT_EQ(served, serial({2, 0, 1}));
+  EXPECT_NE(served, serial({0, 1, 2}));  // the order is observable
 }
 
 TEST(QosEngine, DeadlineEqualToArrivalIsServedNotShed) {
