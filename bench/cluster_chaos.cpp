@@ -171,9 +171,8 @@ SeedRow summarize(u64 seed, const ClusterReport& report, bool match) {
       row.shed += f.overload.total_shed();
       row.shed_host_lost += f.overload.shed_by(ShedCause::kHostLost);
     }
-    // The bucketed histograms live in the metrics snapshot; a migrated
-    // lane's samples are split across the hosts it visited, which is fine
-    // for a max-over-functions tail gate.
+    // The bucketed histograms live in the metrics snapshot, which lists
+    // each lane once, on its current host, over its whole life.
     for (const FunctionMetrics& m : host.report.metrics.functions)
       row.p99_setup_ms =
           std::max(row.p99_setup_ms, to_ms(m.setup_ns.percentile(99)));

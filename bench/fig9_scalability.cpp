@@ -129,7 +129,7 @@ void BM_contention_model(benchmark::State& state) {
   solo.tier_read_bytes[1] = 4e9;
   const std::vector<ExecutionResult> group(20, solo);
   for (auto _ : state)
-    benchmark::DoNotOptimize(run_concurrent(env.cfg, group).iterations);
+    benchmark::DoNotOptimize(run_concurrent(env.cfg, group).exec_ns);
 }
 BENCHMARK(BM_contention_model);
 

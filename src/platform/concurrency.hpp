@@ -38,8 +38,8 @@ namespace toss {
 // bookkeeping.
 // ---------------------------------------------------------------------------
 
-/// Global lock ordering, lowest acquired first. A thread holding
-/// kEngineScheduler may take kMetricsRegistry, never the reverse. The
+/// Global lock ordering, lowest acquired first: a thread holding a lock
+/// may take only higher-ranked ones, never the reverse. The
 /// LaneExecutor's locks rank below everything: a deque or park lock is
 /// held only around its own queue operation — never across a lane task —
 /// so a worker inside a task may take any platform lock, while code
@@ -50,11 +50,6 @@ enum class LockRank : int {
   /// Host::mu_, which guards the host's first-failure record: lanes of
   /// one epoch run concurrently and any of them may fail.
   kEngineScheduler = 10,
-  /// Historical top rank. The registry's series map moved to the
-  /// optimistic version-stamped latch (util/optimistic.hpp), which the
-  /// detector does not track; the rank remains as the ceiling any future
-  /// leaf-level mutex should sit below.
-  kMetricsRegistry = 20,
 };
 
 /// std::mutex with a rank, compatible with std::lock_guard /
@@ -200,16 +195,12 @@ constexpr std::array<double, kMaxTiers> unit_factors() {
 struct ContentionFactors {
   std::array<double, kMaxTiers> tier = detail::unit_factors();
   double disk = 1.0;
-
-  double fast() const { return tier[0]; }
-  double slow() const { return tier[1]; }
 };
 
 struct ConcurrencyOutcome {
   /// Per-invocation contended execution time (same order as input).
   std::vector<Nanos> exec_ns;
   ContentionFactors factors;
-  int iterations = 0;  ///< kept for API stability; the model is closed-form
 };
 
 /// Scale the solo runs' execution times under K-way concurrency (K = size

@@ -15,11 +15,12 @@
 //   - Determinism. Lanes share no mutable state — snapshot file ids, the
 //     host page cache and RNG streams are all lane-local — so per-function
 //     results are bit-for-bit identical for any thread count, including
-//     the serial reference path (threads = 1). Only wall-clock time and
-//     the interleaving of metric updates vary.
-//   - Observability. Every invocation lands in a MetricsRegistry
-//     (lock-free counters + latency histograms per function/phase) that is
-//     snapshotted into the final report for the benches to serialize.
+//     the serial reference path (threads = 1). Only wall-clock time
+//     varies.
+//   - Observability. Each lane's own ledgers (FunctionStats, recorded once
+//     per invocation, and OverloadStats) are the only record; the report's
+//     MetricsSnapshot (per-function/per-phase counters + latency
+//     histograms) is computed from them for the benches to serialize.
 //
 // Scheduling (DESIGN.md §9) is one epoch-barrier scheduler: each epoch
 // serves up to `chunk` requests of every active lane in parallel (lanes

@@ -112,7 +112,6 @@ Result<void> Host::add(const FunctionRegistration& registration,
     return reg;
   lane->requests = std::move(requests);
   if (options_.keep_outcomes) lane->outcomes.reserve(lane->requests.size());
-  lane->series = metrics_.series(name);
   lane->qos = registration.qos_spec();
   if (lane->qos.cls != QosClass::kNone) qos_engaged_ = true;
   lanes_.push_back(std::move(lane));
@@ -178,7 +177,6 @@ void Host::record_error(ErrorCode code, std::string message) {
 void Host::shed(HostLane& lane, size_t request_index, ShedCause cause) {
   const size_t c = static_cast<size_t>(cause);
   ++lane.overload.shed[c];
-  lane.series->shed[c].fetch_add(1, std::memory_order_relaxed);
   if (options_.keep_shed_events)
     lane.shed_events.push_back(ShedEvent{request_index, cause, lane.sim_now});
 }
@@ -207,7 +205,6 @@ void Host::admit_arrivals(HostLane& lane, bool admission_closed) {
     }
     lane.queue.push_back(idx);
     ++lane.overload.admitted;
-    lane.series->admitted.fetch_add(1, std::memory_order_relaxed);
     lane.overload.queue_peak =
         std::max(lane.overload.queue_peak, lane.queue.size());
   }
@@ -273,13 +270,8 @@ void Host::process_chunk(HostLane& lane, bool admission_closed) {
     chunk_service_ns += o.result.total_ns();
     lane.last_setup_ns = o.result.setup.setup_ns;
     ++lane.overload.completed;
-    if (r.deadline_ns > 0 && lane.sim_now > r.deadline_ns) {
+    if (r.deadline_ns > 0 && lane.sim_now > r.deadline_ns)
       ++lane.overload.deadline_misses;
-      lane.series->deadline_misses.fetch_add(1, std::memory_order_relaxed);
-    }
-    lane.series->record(o.toss_phase, o.cold_boot, o.result.total_ns(),
-                        o.result.setup.setup_ns, o.result.exec.exec_ns,
-                        o.charge, o.recovery);
     if (options_.keep_outcomes) lane.outcomes.push_back(o);
     --budget;
   }
@@ -291,7 +283,6 @@ void Host::process_chunk(HostLane& lane, bool admission_closed) {
       chunk_service_ns > options_.watchdog_chunk_budget_ns) {
     lane.host->trip_breaker(lane.name);
     ++lane.overload.watchdog_trips;
-    lane.series->watchdog_trips.fetch_add(1, std::memory_order_relaxed);
   }
 
   lane.in_flight.fetch_sub(1, std::memory_order_acq_rel);
@@ -406,13 +397,10 @@ void Host::arbiter_tick(FastTierArbiter& arbiter, u64 epoch) {
     HostLane& lane = *lanes_[li];
     TossFunction* toss = lane.host->toss_state_mutable(lane.name);
     if (toss == nullptr || !toss->retier(bound)) return std::nullopt;
-    if (rung > lane.rung) {
+    if (rung > lane.rung)
       ++lane.overload.demotions;
-      lane.series->demotions.fetch_add(1, std::memory_order_relaxed);
-    } else {
+    else
       ++lane.overload.promotions;
-      lane.series->promotions.fetch_add(1, std::memory_order_relaxed);
-    }
     lane.rung = rung;
     return lane.host->resident_bytes(lane.name).fast;
   };
@@ -510,9 +498,58 @@ EngineReport Host::report(int threads) const {
   return report;
 }
 
+namespace {
+
+// One live lane's metrics, read from its own ledgers: FunctionStats (every
+// invocation, as ServerlessPlatform::invoke classified it), OverloadStats
+// and QosSpec.
+FunctionMetrics lane_metrics(const HostLane& lane) {
+  const FunctionStats& s = lane.host->stats(lane.name);
+  const OverloadStats& o = lane.overload;
+  FunctionMetrics m;
+  m.function = lane.name;
+  m.invocations = s.invocations;
+  m.cold_boots = s.cold_boots;
+  m.phase_invocations = s.phase_invocations;
+  m.total_charge = s.total_charge;
+  m.recovered_faults = s.recovered_faults;
+  m.recovery_retries = s.recovery_retries;
+  m.fallbacks_single_tier = s.fallbacks_single_tier;
+  m.fallbacks_cold_boot = s.fallbacks_cold_boot;
+  m.quarantines = s.quarantines;
+  m.regenerations = s.regenerations;
+  m.breaker_suspended = s.breaker_suspended;
+  m.incomplete = s.incomplete;
+  m.admitted = o.admitted;
+  m.shed = o.shed;
+  m.deadline_misses = o.deadline_misses;
+  m.demotions = o.demotions;
+  m.promotions = o.promotions;
+  m.watchdog_trips = o.watchdog_trips;
+  if (lane.qos.cls != QosClass::kNone) {
+    // Schema-6 SLO ledger: a shed or SLO-late request counts against the
+    // class.
+    m.qos = lane.qos.cls;
+    m.slo_slowdown = lane.qos.slo_slowdown;
+    m.slo.offered = o.offered;
+    m.slo.completed = o.completed;
+    m.slo.slo_met = o.completed - o.deadline_misses;
+  }
+  m.total_ns = LatencyHistogram(s.total_ns, s.total_buckets);
+  m.setup_ns = LatencyHistogram(s.setup_ns, s.setup_buckets);
+  m.exec_ns = LatencyHistogram(s.exec_ns, s.exec_buckets);
+  return m;
+}
+
+}  // namespace
+
 MetricsSnapshot Host::metrics() const {
-  MetricsSnapshot snap = metrics_.snapshot();
+  MetricsSnapshot snap;
   snap.host = name_;
+  snap.functions.reserve(lanes_.size());
+  for (const auto& lane : lanes_)
+    if (lane != nullptr)
+      snap.functions.push_back(lane_metrics(*lane));
   // Schema-4 ladder rollup: what every still-resident lane pins in each
   // rank right now, against the rank's installed capacity.
   snap.tiers.resize(cfg_.tier_count());
@@ -532,20 +569,9 @@ MetricsSnapshot Host::metrics() const {
       t.occupancy = static_cast<double>(t.resident_bytes) /
                     static_cast<double>(t.capacity_bytes);
   if (qos_engaged_) {
-    // Schema-6 SLO ledgers: per-function attainment from the lane's
-    // overload ledger (a shed or SLO-late request counts against the
-    // class), plus the per-class rollup in QosClass enum order. Both are
-    // derived from barrier-serial counters, so they inherit the engine's
-    // thread-count independence.
-    for (FunctionMetrics& m : snap.functions) {
-      const HostLane* lane = find_lane(m.function);
-      if (lane == nullptr || lane->qos.cls == QosClass::kNone) continue;
-      m.qos = lane->qos.cls;
-      m.slo_slowdown = lane->qos.slo_slowdown;
-      m.slo.offered = lane->overload.offered;
-      m.slo.completed = lane->overload.completed;
-      m.slo.slo_met = lane->overload.completed - lane->overload.deadline_misses;
-    }
+    // Schema-6 per-class rollup in QosClass enum order, from the same
+    // barrier-serial overload ledgers as the per-function SLO blocks, so
+    // it inherits the engine's thread-count independence.
     for (QosClass cls : {QosClass::kGold, QosClass::kBronze}) {
       QosClassRollup rollup;
       rollup.cls = cls;
@@ -612,10 +638,6 @@ Result<void> Host::adopt_lane(std::unique_ptr<HostLane> lane) {
   if (find_lane(lane->name) != nullptr)
     return {ErrorCode::kDuplicateFunction,
             lane->name + " is already registered on host " + name_};
-  // Invocations recorded before the move stay in the source host's
-  // registry; from here on this host's series accumulates them — the
-  // cluster rollup sums both.
-  lane->series = metrics_.series(lane->name);
   if (lane->qos.cls != QosClass::kNone) qos_engaged_ = true;
   if (lane->rung != 0) {
     // Arrive un-demoted: the migration target was chosen for its headroom,

@@ -27,8 +27,9 @@
 //     decided at the serial cluster barrier).
 //   - Lanes can be extracted and adopted whole (cross-host migration).
 //     Extraction leaves a null tombstone so lane indices — which key the
-//     arbiter's rung bookkeeping — stay stable; adoption re-binds the
-//     lane's metrics series to the destination registry.
+//     arbiter's rung bookkeeping — stay stable. Every ledger travels with
+//     the lane, so its metrics appear only on its current host and cover
+//     its whole life.
 #pragma once
 
 #include <array>
@@ -192,7 +193,6 @@ struct HostLane {
   std::unique_ptr<ServerlessPlatform> host;
   std::vector<Request> requests;
   std::vector<InvocationOutcome> outcomes;
-  FunctionSeries* series = nullptr;
   std::atomic<int> in_flight{0};
 
   // Scheduler state.
@@ -304,9 +304,9 @@ class Host {
   /// indices (which key the arbiter's bookkeeping) stay stable.
   std::unique_ptr<HostLane> extract_lane(size_t index);
 
-  /// Take ownership of a migrated lane: re-bind its metrics series to this
-  /// host's registry and restore its unconstrained placement (the
-  /// destination arbiter re-demotes it if the budget here disagrees).
+  /// Take ownership of a migrated lane and restore its unconstrained
+  /// placement (the destination arbiter re-demotes it if the budget here
+  /// disagrees).
   Result<void> adopt_lane(std::unique_ptr<HostLane> lane);
 
   // ---- Cluster hooks (failure domains) ----
@@ -339,7 +339,8 @@ class Host {
 
   // ---- Introspection ----
 
-  /// Live metrics for this host (snapshot tagged with the host name).
+  /// Metrics for this host, computed from the live lanes' ledgers (tagged
+  /// with the host name). Read between drains, like the report.
   MetricsSnapshot metrics() const;
   /// Lane state inspection (nullptr for unknown / non-TOSS lanes).
   const TossFunction* toss_state(const std::string& name) const;
@@ -372,7 +373,6 @@ class Host {
   PricingPlan pricing_;
   EngineOptions options_;
   std::vector<std::unique_ptr<HostLane>> lanes_;  ///< null = migrated away
-  MetricsRegistry metrics_;
   /// Persistent across drains, so rungs / demote stack / warm pool /
   /// admission state survive between batches. Created lazily on the first
   /// epoch with the arbiter enabled.

@@ -7,64 +7,15 @@
 
 namespace toss {
 
-namespace {
-
-int bucket_index(Nanos t) {
+size_t LatencyHistogram::bucket_of(Nanos t) {
   const double clamped = std::max(t, 0.0);
   const u64 ns = static_cast<u64>(std::min(clamped, 1e18));
   if (ns <= 1) return 0;
   const int idx = std::bit_width(ns) - 1;  // floor(log2(ns))
-  return std::min(idx, LatencyHistogram::kBucketCount - 1);
+  return static_cast<size_t>(std::min(idx, kBucketCount - 1));
 }
 
-void atomic_add(std::atomic<double>& a, double v) {
-  a.fetch_add(v, std::memory_order_relaxed);
-}
-
-void atomic_min(std::atomic<double>& a, double v) {
-  double cur = a.load(std::memory_order_relaxed);
-  while (v < cur &&
-         !a.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-  }
-}
-
-void atomic_max(std::atomic<double>& a, double v) {
-  double cur = a.load(std::memory_order_relaxed);
-  while (v > cur &&
-         !a.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-  }
-}
-
-}  // namespace
-
-void LatencyHistogram::record(Nanos t) {
-  buckets_[static_cast<size_t>(bucket_index(t))].fetch_add(
-      1, std::memory_order_relaxed);
-  // First sample initializes min: count_ transitions 0 -> 1 exactly once,
-  // and racing recorders both run the CAS loops afterwards, so the final
-  // min/max are correct either way.
-  if (count_.fetch_add(1, std::memory_order_relaxed) == 0) {
-    double expected = 0.0;
-    min_.compare_exchange_strong(expected, t, std::memory_order_relaxed);
-  }
-  atomic_add(sum_, t);
-  atomic_min(min_, t);
-  atomic_max(max_, t);
-}
-
-LatencyHistogram::Snapshot LatencyHistogram::snapshot() const {
-  Snapshot s;
-  s.count = count_.load(std::memory_order_relaxed);
-  s.sum = sum_.load(std::memory_order_relaxed);
-  s.min = s.count ? min_.load(std::memory_order_relaxed) : 0.0;
-  s.max = max_.load(std::memory_order_relaxed);
-  for (int i = 0; i < kBucketCount; ++i)
-    s.buckets[static_cast<size_t>(i)] =
-        buckets_[static_cast<size_t>(i)].load(std::memory_order_relaxed);
-  return s;
-}
-
-double LatencyHistogram::Snapshot::percentile(double p) const {
+double LatencyHistogram::percentile(double p) const {
   if (count == 0) return 0;
   const double clamped = std::clamp(p, 0.0, 100.0);
   const u64 rank = static_cast<u64>(
@@ -78,93 +29,6 @@ double LatencyHistogram::Snapshot::percentile(double p) const {
     }
   }
   return max;
-}
-
-void FunctionSeries::record(TossPhase phase, bool cold_boot, Nanos total,
-                            Nanos setup, Nanos exec, double charge,
-                            const RecoveryInfo& recovery) {
-  invocations.fetch_add(1, std::memory_order_relaxed);
-  if (cold_boot) cold_boots.fetch_add(1, std::memory_order_relaxed);
-  phase_invocations[static_cast<size_t>(phase)].fetch_add(
-      1, std::memory_order_relaxed);
-  atomic_add(total_charge, charge);
-  if (recovery.faults_seen)
-    recovered_faults.fetch_add(recovery.faults_seen,
-                               std::memory_order_relaxed);
-  if (recovery.retries)
-    recovery_retries.fetch_add(recovery.retries, std::memory_order_relaxed);
-  if (recovery.fallback == FallbackLevel::kSingleTier)
-    fallbacks_single_tier.fetch_add(1, std::memory_order_relaxed);
-  else if (recovery.fallback == FallbackLevel::kColdBoot)
-    fallbacks_cold_boot.fetch_add(1, std::memory_order_relaxed);
-  if (recovery.quarantined)
-    quarantines.fetch_add(1, std::memory_order_relaxed);
-  if (recovery.regenerated)
-    regenerations.fetch_add(1, std::memory_order_relaxed);
-  if (recovery.breaker_suspended)
-    breaker_suspended.fetch_add(1, std::memory_order_relaxed);
-  if (!recovery.completed) incomplete.fetch_add(1, std::memory_order_relaxed);
-  total_ns.record(total);
-  setup_ns.record(setup);
-  exec_ns.record(exec);
-}
-
-FunctionSeries* MetricsRegistry::series(const std::string& name) {
-  {
-    // Fast path: the name almost always exists already (every invocation
-    // resolves its series). Shared mode — the vector and the names are
-    // plain memory, so optimistic reads would race with a concurrent
-    // registration's push_back.
-    SharedLatchGuard guard(latch_);
-    for (const auto& s : series_)
-      if (s->function == name) return s.get();
-  }
-  ExclusiveLatchGuard guard(latch_);
-  // Re-scan: another thread may have registered the name between the
-  // shared release and the exclusive acquire.
-  for (const auto& s : series_)
-    if (s->function == name) return s.get();
-  series_.push_back(std::make_unique<FunctionSeries>(name));
-  return series_.back().get();
-}
-
-MetricsSnapshot MetricsRegistry::snapshot() const {
-  MetricsSnapshot out;
-  SharedLatchGuard guard(latch_);
-  out.functions.reserve(series_.size());
-  for (const auto& s : series_) {
-    FunctionMetrics m;
-    m.function = s->function;
-    m.invocations = s->invocations.load(std::memory_order_relaxed);
-    m.cold_boots = s->cold_boots.load(std::memory_order_relaxed);
-    for (size_t p = 0; p < m.phase_invocations.size(); ++p)
-      m.phase_invocations[p] =
-          s->phase_invocations[p].load(std::memory_order_relaxed);
-    m.total_charge = s->total_charge.load(std::memory_order_relaxed);
-    m.recovered_faults = s->recovered_faults.load(std::memory_order_relaxed);
-    m.recovery_retries = s->recovery_retries.load(std::memory_order_relaxed);
-    m.fallbacks_single_tier =
-        s->fallbacks_single_tier.load(std::memory_order_relaxed);
-    m.fallbacks_cold_boot =
-        s->fallbacks_cold_boot.load(std::memory_order_relaxed);
-    m.quarantines = s->quarantines.load(std::memory_order_relaxed);
-    m.regenerations = s->regenerations.load(std::memory_order_relaxed);
-    m.breaker_suspended =
-        s->breaker_suspended.load(std::memory_order_relaxed);
-    m.incomplete = s->incomplete.load(std::memory_order_relaxed);
-    m.admitted = s->admitted.load(std::memory_order_relaxed);
-    for (size_t c = 0; c < kShedCauseCount; ++c)
-      m.shed[c] = s->shed[c].load(std::memory_order_relaxed);
-    m.deadline_misses = s->deadline_misses.load(std::memory_order_relaxed);
-    m.demotions = s->demotions.load(std::memory_order_relaxed);
-    m.promotions = s->promotions.load(std::memory_order_relaxed);
-    m.watchdog_trips = s->watchdog_trips.load(std::memory_order_relaxed);
-    m.total_ns = s->total_ns.snapshot();
-    m.setup_ns = s->setup_ns.snapshot();
-    m.exec_ns = s->exec_ns.snapshot();
-    out.functions.push_back(std::move(m));
-  }
-  return out;
 }
 
 u64 MetricsSnapshot::total_invocations() const {
@@ -182,7 +46,7 @@ const FunctionMetrics* MetricsSnapshot::find(const std::string& name) const {
 namespace {
 
 void append_histogram(std::string& out, const char* key,
-                      const LatencyHistogram::Snapshot& h) {
+                      const LatencyHistogram& h) {
   char buf[256];
   std::snprintf(buf, sizeof(buf),
                 "\"%s\":{\"count\":%llu,\"mean_ns\":%.1f,\"min_ns\":%.1f,"

@@ -1,99 +1,57 @@
-// Lock-free-ish observability for the platform engine.
+// Per-function metrics snapshot for the platform engine and the cluster.
 //
-// Hot path (every invocation): relaxed atomic increments into per-function
-// counters and fixed-bucket log2 latency histograms — no locks, no
-// allocation, safe to call from any worker thread. Cold path (registration,
-// snapshot): mutex-protected. A MetricsSnapshot is a plain value the benches
-// serialize to JSON so speedups and tail latencies are observable rather
-// than asserted.
+// There is no separate metrics ledger: a MetricsSnapshot is computed when
+// it is read, from each live lane's own FunctionStats (what
+// ServerlessPlatform::invoke records per invocation), OverloadStats and
+// QosSpec (platform/host.hpp). It is a plain value the benches serialize
+// to JSON so speedups and tail latencies are observable rather than
+// asserted.
 #pragma once
 
 #include <array>
-#include <atomic>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
-#include "core/toss.hpp"
 #include "platform/qos.hpp"
-#include "util/optimistic.hpp"
+#include "util/stats.hpp"
 
 namespace toss {
 
 /// Latency histogram over log2(ns) buckets: bucket i counts samples in
-/// [2^i, 2^(i+1)) ns; 48 buckets span 1 ns .. ~3.2 days.
-class LatencyHistogram {
- public:
+/// [2^i, 2^(i+1)) ns; 48 buckets span 1 ns .. ~3.2 days. A plain value:
+/// FunctionStats keeps the bucket counts per time series, and the count,
+/// sum, min and max come from the series' OnlineStats.
+struct LatencyHistogram {
   static constexpr int kBucketCount = 48;
+  using Buckets = std::array<u64, kBucketCount>;
 
-  void record(Nanos t);
+  /// The bucket a sample of `t` ns falls in.
+  static size_t bucket_of(Nanos t);
 
-  struct Snapshot {
-    u64 count = 0;
-    double sum = 0;
-    double min = 0;  ///< 0 when empty
-    double max = 0;
-    std::array<u64, kBucketCount> buckets{};
+  LatencyHistogram() = default;
+  LatencyHistogram(const OnlineStats& series, const Buckets& counts)
+      : count(series.count()),
+        sum(series.sum()),
+        min(series.min()),
+        max(series.max()),
+        buckets(counts) {}
 
-    double mean() const { return count ? sum / static_cast<double>(count) : 0; }
-    /// Bucket-resolution percentile (upper bound of the containing bucket,
-    /// clamped to the observed max). p in [0, 100].
-    double percentile(double p) const;
-  };
+  u64 count = 0;
+  double sum = 0;
+  double min = 0;  ///< 0 when empty
+  double max = 0;
+  Buckets buckets{};
 
-  Snapshot snapshot() const;
-
- private:
-  std::array<std::atomic<u64>, kBucketCount> buckets_{};
-  std::atomic<u64> count_{0};
-  std::atomic<double> sum_{0.0};
-  std::atomic<double> min_{0.0};  // valid only when count_ > 0
-  std::atomic<double> max_{0.0};
+  double mean() const { return count ? sum / static_cast<double>(count) : 0; }
+  /// Bucket-resolution percentile (upper bound of the containing bucket,
+  /// clamped to the observed max). p in [0, 100].
+  double percentile(double p) const;
 };
 
-/// Per-function hot-path counters. One instance per registered function;
-/// pointers stay stable for the registry's lifetime.
-struct FunctionSeries {
-  explicit FunctionSeries(std::string name) : function(std::move(name)) {}
-
-  std::string function;
-  std::atomic<u64> invocations{0};
-  std::atomic<u64> cold_boots{0};
-  /// Indexed by TossPhase (kInitial/kProfiling/kTiered). Baseline policies
-  /// count everything as kInitial (cold) or kTiered (steady state).
-  std::array<std::atomic<u64>, 3> phase_invocations{};
-  std::atomic<double> total_charge{0.0};
-  // Recovery ladder counters (all zero unless faults were injected).
-  std::atomic<u64> recovered_faults{0};
-  std::atomic<u64> recovery_retries{0};
-  std::atomic<u64> fallbacks_single_tier{0};
-  std::atomic<u64> fallbacks_cold_boot{0};
-  std::atomic<u64> quarantines{0};
-  std::atomic<u64> regenerations{0};
-  std::atomic<u64> breaker_suspended{0};
-  std::atomic<u64> incomplete{0};
-  // Overload-control counters (with default knobs only `admitted` and
-  // `deadline_misses` move; a default-knob PlatformEngine reports them 0).
-  // The engine increments these directly; like everything else here they are
-  // commutative relaxed adds, so totals are thread-count independent.
-  std::atomic<u64> admitted{0};
-  /// Per-cause shed counters, indexed by ShedCause (platform/qos.hpp).
-  /// One array instead of one ad-hoc field per cause; the JSON keys stay
-  /// the historical ones via shed_cause_json_key().
-  std::array<std::atomic<u64>, kShedCauseCount> shed{};
-  std::atomic<u64> deadline_misses{0};
-  std::atomic<u64> demotions{0};
-  std::atomic<u64> promotions{0};
-  std::atomic<u64> watchdog_trips{0};
-  LatencyHistogram total_ns;
-  LatencyHistogram setup_ns;
-  LatencyHistogram exec_ns;
-
-  void record(TossPhase phase, bool cold_boot, Nanos total, Nanos setup,
-              Nanos exec, double charge, const RecoveryInfo& recovery = {});
-};
-
+/// One live lane's counters: the invocation ledger comes from its
+/// FunctionStats, the overload counters from its OverloadStats (a
+/// default-knob PlatformEngine reports `admitted` and `deadline_misses` as
+/// 0), the SLO annotation from its QosSpec.
 struct FunctionMetrics {
   std::string function;
   u64 invocations = 0;
@@ -122,9 +80,9 @@ struct FunctionMetrics {
   /// Per-function SLO attainment, derived from the lane's OverloadStats;
   /// all-zero when the function carries no QoS class.
   QosAttainment slo;
-  LatencyHistogram::Snapshot total_ns;
-  LatencyHistogram::Snapshot setup_ns;
-  LatencyHistogram::Snapshot exec_ns;
+  LatencyHistogram total_ns;
+  LatencyHistogram setup_ns;
+  LatencyHistogram exec_ns;
 
   u64 shed_by(ShedCause cause) const {
     return shed[static_cast<size_t>(cause)];
@@ -179,42 +137,22 @@ struct MetricsSnapshot {
   /// Consumers should ignore unknown keys.
   static constexpr int kJsonSchemaVersion = 6;
 
-  /// Which simulated host produced this snapshot; empty outside the
-  /// engine/cluster (e.g. a bare MetricsRegistry).
+  /// Which simulated host produced this snapshot.
   std::string host;
-  /// Per-ladder-rank rollup, index 0 = fastest; filled by the engine
-  /// (a bare MetricsRegistry has no ladder to sample).
+  /// Per-ladder-rank rollup, index 0 = fastest.
   std::vector<TierRollup> tiers;
   /// Host health rollup; filled by ClusterEngine::report() (schema 5).
   HostHealthRollup health;
   /// Per-class SLO-attainment rollup in QosClass enum order; empty unless
   /// the host has QoS-classed lanes (schema 6).
   std::vector<QosClassRollup> qos;
-  std::vector<FunctionMetrics> functions;  ///< registration order
+  /// The host's live lanes in slot order: registration, then adoption.
+  std::vector<FunctionMetrics> functions;
 
   u64 total_invocations() const;
   const FunctionMetrics* find(const std::string& name) const;
   /// Serialize for the bench harness (stable key order, valid JSON).
   std::string to_json() const;
-};
-
-class MetricsRegistry {
- public:
-  /// Create (or fetch) the series for `name`. Lookups of an existing name
-  /// take the latch shared (lock-free CAS, no mutex); only the first call
-  /// for a new name upgrades to exclusive and allocates.
-  FunctionSeries* series(const std::string& name);
-
-  /// Consistent-enough copy of all counters (each value is read atomically;
-  /// the set of functions is read under the shared latch).
-  MetricsSnapshot snapshot() const;
-
- private:
-  /// Optimistic version-stamped latch (DESIGN.md §15) guarding the series
-  /// vector — the FunctionSeries counters themselves are atomics and are
-  /// recorded without any latch at all.
-  mutable OptimisticLatch latch_;
-  std::vector<std::unique_ptr<FunctionSeries>> series_;
 };
 
 }  // namespace toss

@@ -48,9 +48,6 @@ Result<void> FunctionRegistration::validate() const {
   if (spec_.memory_mb == 0)
     return {ErrorCode::kInvalidOptions,
             spec_.name + ": memory_mb must be >= 1"};
-  if (concurrency_ < 1)
-    return {ErrorCode::kInvalidOptions,
-            spec_.name + ": concurrency must be >= 1"};
   const RetryPolicy& r = toss_options_.retry;
   if (r.max_attempts < 1)
     return {ErrorCode::kInvalidOptions,
@@ -166,17 +163,30 @@ Result<InvocationOutcome> ServerlessPlatform::invoke(const std::string& name,
   }
   out.charge = charge_for(rt, out.result);
 
-  rt.stats.invocations++;
-  rt.stats.total_ns.add(out.result.total_ns());
-  rt.stats.setup_ns.add(out.result.setup.setup_ns);
-  rt.stats.exec_ns.add(out.result.exec.exec_ns);
-  rt.stats.total_charge += out.charge;
-  rt.stats.recovered_faults += out.recovery.faults_seen;
-  rt.stats.recovery_retries += out.recovery.retries;
-  if (out.recovery.fallback != FallbackLevel::kNone) ++rt.stats.fallbacks;
-  if (out.recovery.quarantined) ++rt.stats.quarantines;
-  if (out.recovery.regenerated) ++rt.stats.regenerations;
-  if (!out.recovery.completed) ++rt.stats.incomplete;
+  FunctionStats& st = rt.stats;
+  const Nanos total = out.result.total_ns();
+  const Nanos setup = out.result.setup.setup_ns;
+  const Nanos exec = out.result.exec.exec_ns;
+  st.invocations++;
+  if (out.cold_boot) ++st.cold_boots;
+  ++st.phase_invocations[static_cast<size_t>(out.toss_phase)];
+  st.total_ns.add(total);
+  st.setup_ns.add(setup);
+  st.exec_ns.add(exec);
+  ++st.total_buckets[LatencyHistogram::bucket_of(total)];
+  ++st.setup_buckets[LatencyHistogram::bucket_of(setup)];
+  ++st.exec_buckets[LatencyHistogram::bucket_of(exec)];
+  st.total_charge += out.charge;
+  const RecoveryInfo& rc = out.recovery;
+  st.recovered_faults += rc.faults_seen;
+  st.recovery_retries += rc.retries;
+  if (rc.fallback != FallbackLevel::kNone) ++st.fallbacks;
+  if (rc.fallback == FallbackLevel::kSingleTier) ++st.fallbacks_single_tier;
+  if (rc.fallback == FallbackLevel::kColdBoot) ++st.fallbacks_cold_boot;
+  if (rc.quarantined) ++st.quarantines;
+  if (rc.regenerated) ++st.regenerations;
+  if (rc.breaker_suspended) ++st.breaker_suspended;
+  if (!rc.completed) ++st.incomplete;
   return out;
 }
 

@@ -14,6 +14,7 @@
 //     platform carries no deprecation surface at all.
 #pragma once
 
+#include <array>
 #include <map>
 #include <memory>
 #include <optional>
@@ -26,6 +27,7 @@
 #include "core/toss.hpp"
 #include "platform/errors.hpp"
 #include "platform/invoker.hpp"
+#include "platform/metrics.hpp"
 #include "platform/pricing.hpp"
 #include "platform/qos.hpp"
 #include "platform/recovery.hpp"
@@ -50,18 +52,31 @@ struct InvocationOutcome {
   RecoveryInfo recovery;
 };
 
+/// One function's invocation ledger, recorded by ServerlessPlatform::invoke
+/// once per invocation, in request order. It is the only per-invocation
+/// record: the metrics snapshot (platform/metrics.hpp) is derived from it.
 struct FunctionStats {
   u64 invocations = 0;
+  u64 cold_boots = 0;
+  /// Indexed by TossPhase; baseline policies count under kInitial.
+  std::array<u64, 3> phase_invocations{};
   OnlineStats total_ns;
   OnlineStats setup_ns;
   OnlineStats exec_ns;
+  /// log2(ns) bucket counts of the three series above.
+  LatencyHistogram::Buckets total_buckets{};
+  LatencyHistogram::Buckets setup_buckets{};
+  LatencyHistogram::Buckets exec_buckets{};
   double total_charge = 0;
   // Recovery aggregates (all zero unless faults were injected).
   u64 recovered_faults = 0;   ///< injected faults invocations tripped over
   u64 recovery_retries = 0;   ///< extra attempts spent across invocations
   u64 fallbacks = 0;          ///< invocations served below the intended rung
+  u64 fallbacks_single_tier = 0;  ///< fallbacks to the Step-I snapshot
+  u64 fallbacks_cold_boot = 0;    ///< fallbacks to a cold boot
   u64 quarantines = 0;        ///< tiered artifacts quarantined
   u64 regenerations = 0;      ///< quarantined artifacts rebuilt (Step V)
+  u64 breaker_suspended = 0;  ///< served with recovery suspended by the breaker
   u64 incomplete = 0;         ///< invocations that exhausted every rung
 };
 
@@ -80,13 +95,6 @@ class FunctionRegistration {
   /// TOSS knobs; only meaningful under PolicyKind::kToss.
   FunctionRegistration& toss(TossOptions options) {
     toss_options_ = std::move(options);
-    return *this;
-  }
-  /// Declared per-function concurrency limit. The engine serializes each
-  /// function's state machine, so values > 1 are accepted for forward
-  /// compatibility but currently behave as 1.
-  FunctionRegistration& concurrency(int n) {
-    concurrency_ = n;
     return *this;
   }
   /// Seed for the function's deterministic RNG streams (DAMON noise, ...).
@@ -129,7 +137,6 @@ class FunctionRegistration {
   const FunctionSpec& spec() const { return spec_; }
   PolicyKind policy() const { return kind_; }
   const TossOptions& toss_options() const { return toss_options_; }
-  int concurrency() const { return concurrency_; }
   u64 seed() const { return seed_; }
   const CircuitBreakerOptions& breaker_options() const { return breaker_; }
   /// Resolved service class + effective SLO slowdown target.
@@ -141,7 +148,6 @@ class FunctionRegistration {
   FunctionSpec spec_;
   PolicyKind kind_ = PolicyKind::kToss;
   TossOptions toss_options_;
-  int concurrency_ = 1;
   u64 seed_ = 42;
   CircuitBreakerOptions breaker_;
   QosClass qos_class_ = QosClass::kNone;

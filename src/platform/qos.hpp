@@ -4,10 +4,9 @@
 // halves of SLO-driven graceful degradation:
 //
 //   - ShedCause: the typed reason a request was dropped instead of served.
-//     Every shed counter in the system (OverloadStats, FunctionSeries,
-//     FunctionMetrics) is an array indexed by this enum, so adding a cause
-//     is one enum entry + one JSON name — not a new ad-hoc field at every
-//     layer. ShedEvent (platform/host.hpp) carries the same enum.
+//     Every shed counter in the system (OverloadStats, FunctionMetrics) is
+//     an array indexed by this enum, so adding a cause is one enum entry +
+//     one JSON name — not a new ad-hoc field at every layer. ShedEvent (platform/host.hpp) carries the same enum.
 //   - QosClass / QosSpec / QosAttainment: the per-function service class
 //     (gold is protected through saturation, bronze absorbs degradation
 //     first), its SLO slowdown target, and the per-class attainment ledger

@@ -11,7 +11,7 @@
 //   ArbiterOptions / ArbiterReport / ShedEvent               overload control
 //   TossOptions / TossFunction / TossPhase                   the TOSS core
 //   InvocationOutcome / FunctionStats / Result / Error       call results
-//   MetricsRegistry / MetricsSnapshot                        observability
+//   MetricsSnapshot / LatencyHistogram                       observability
 //   RequestGenerator / FunctionRegistry / workloads::*       workloads
 //   OnlineStats / AsciiTable / Rng                           utilities
 //

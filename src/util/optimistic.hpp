@@ -1,8 +1,8 @@
 // Optimistic version-stamped latch — the vmcache `PageState` idiom
 // (Leis et al., "Virtual-Memory Assisted Buffer Management", SIGMOD'23)
 // adapted for the shared hot structures of the parallel data plane
-// (DESIGN.md §15): KeepAliveCache lookups, SnapshotStore resident-byte
-// accounting and the metrics registry's series map.
+// (DESIGN.md §15): KeepAliveCache lookups and SnapshotStore resident-byte
+// accounting.
 //
 // One 64-bit atomic word carries both the lock state and a version:
 //

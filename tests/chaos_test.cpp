@@ -310,6 +310,24 @@ TEST(Chaos, MetricsJsonCarriesRecoveryCounters) {
        {"\"recovery\":", "\"faults\":", "\"retries\":", "\"quarantines\":",
         "\"regenerations\":", "\"breaker_suspended\":", "\"incomplete\":"})
     EXPECT_NE(json.find(key), std::string::npos) << key;
+  // Each counter is what the lane's outcomes say, as
+  // ServerlessPlatform::invoke classified them.
+  for (const FunctionReport& f : report.functions) {
+    const FunctionMetrics* m = report.metrics.find(f.name);
+    ASSERT_NE(m, nullptr) << f.name;
+    u64 single_tier = 0, cold_boot = 0, suspended = 0, cold = 0;
+    for (const InvocationOutcome& o : f.outcomes) {
+      if (o.recovery.fallback == FallbackLevel::kSingleTier) ++single_tier;
+      if (o.recovery.fallback == FallbackLevel::kColdBoot) ++cold_boot;
+      if (o.recovery.breaker_suspended) ++suspended;
+      if (o.cold_boot) ++cold;
+    }
+    EXPECT_EQ(m->fallbacks_single_tier, single_tier) << f.name;
+    EXPECT_EQ(m->fallbacks_cold_boot, cold_boot) << f.name;
+    EXPECT_EQ(f.stats.fallbacks, single_tier + cold_boot) << f.name;
+    EXPECT_EQ(m->breaker_suspended, suspended) << f.name;
+    EXPECT_EQ(m->cold_boots, cold) << f.name;
+  }
 }
 
 }  // namespace

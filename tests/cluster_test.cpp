@@ -254,6 +254,27 @@ TEST(Cluster, MigratesLargestTieredFunctionAfterKPinnedEpochs) {
   EXPECT_EQ(fleet.cluster->host_at(fleet.hog_host).lane_host(fleet.candidate),
             nullptr);
 
+  // Every host's metrics are read from its live lanes' ledgers: the
+  // migrated lane appears only on its current host, covering its whole
+  // life, exactly as the host's FunctionReports do.
+  for (const ClusterHostReport& host : report.hosts) {
+    const EngineReport& r = host.report;
+    EXPECT_EQ(r.metrics.total_invocations(), r.total_invocations())
+        << host.host;
+    ASSERT_EQ(r.metrics.functions.size(), r.functions.size()) << host.host;
+    for (size_t i = 0; i < r.functions.size(); ++i) {
+      const FunctionReport& f = r.functions[i];
+      const FunctionMetrics& m = r.metrics.functions[i];
+      EXPECT_EQ(m.function, f.name) << host.host;
+      EXPECT_EQ(m.invocations, f.stats.invocations) << f.name;
+      EXPECT_EQ(m.total_charge, f.stats.total_charge) << f.name;
+      EXPECT_EQ(m.total_ns.count, f.stats.total_ns.count()) << f.name;
+      EXPECT_EQ(m.setup_ns.count, f.stats.setup_ns.count()) << f.name;
+      EXPECT_EQ(m.exec_ns.count, f.stats.exec_ns.count()) << f.name;
+      EXPECT_EQ(m.admitted, f.overload.admitted) << f.name;
+    }
+  }
+
   // The JSON rollup carries the cluster block and the migration ledger.
   const std::string json = report.to_json();
   EXPECT_NE(json.find("\"schema\":" +
@@ -377,6 +398,8 @@ TEST(Cluster, LedgersAreBitIdenticalAcrossThreadCounts) {
         EXPECT_EQ(a.functions[i].overload, b.functions[i].overload);
         EXPECT_EQ(a.functions[i].shed_events, b.functions[i].shed_events);
       }
+      EXPECT_EQ(a.metrics.to_json(), b.metrics.to_json())
+          << "seed " << seed << " host " << h;
     }
   }
 }

@@ -91,6 +91,9 @@ TEST(Engine, ParallelMatchesSerialBitForBit) {
       EXPECT_EQ(a.outcomes[r].toss_phase, b.outcomes[r].toss_phase);
     }
   }
+  // The metrics snapshot is computed from the same lane ledgers, so its
+  // JSON is byte-identical too.
+  EXPECT_EQ(s.metrics.to_json(), p.metrics.to_json());
 }
 
 /// Full bit-identity check between two function reports, including the
@@ -357,6 +360,14 @@ TEST(Engine, MetricsCountersSumToInvocationCounts) {
     EXPECT_DOUBLE_EQ(m->total_ns.mean(), f.stats.total_ns.mean()) << f.name;
     EXPECT_EQ(m->total_ns.max, f.stats.total_ns.max()) << f.name;
     EXPECT_EQ(m->total_ns.min, f.stats.total_ns.min()) << f.name;
+    EXPECT_EQ(m->total_ns.sum, f.stats.total_ns.sum()) << f.name;
+    u64 bucketed = 0;
+    for (u64 c : m->total_ns.buckets) bucketed += c;
+    EXPECT_EQ(bucketed, m->invocations) << f.name;
+    u64 cold = 0;
+    for (const InvocationOutcome& o : f.outcomes)
+      if (o.cold_boot) ++cold;
+    EXPECT_EQ(m->cold_boots, cold) << f.name;
     EXPECT_DOUBLE_EQ(m->total_charge, f.stats.total_charge) << f.name;
   }
   // The JSON snapshot serializes without blowing up and carries the totals.
