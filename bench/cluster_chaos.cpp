@@ -12,8 +12,12 @@
 // re-admitted is shed with the typed kHostLost cause.
 //
 // Results land in cluster_chaos.json under the bench artifact directory
-// (--out-dir=PATH, default <build>/bench_artifacts). The process exits
-// nonzero — a CI gate, not just a plot — if any seed breaks one of:
+// (--out-dir=PATH, default <build>/bench_artifacts). Each seed's
+// "p99_setup_ms" is the pooled exact p99 described under the tail gate
+// below; "clean_p99_setup_ms" is the fault-free baseline it is gated
+// against (0 without -DTOSS_FAULTS=ON, where the gate is skipped). The
+// process exits nonzero — a CI gate, not just a plot — if any seed breaks
+// one of:
 //
 //   Exactly-once. Every offered request resolves to exactly one of
 //   completed or shed-with-typed-cause: offered == completed + shed and
@@ -23,9 +27,15 @@
 //   hosts' proportional share: completed >= total * survivors / hosts.
 //   (Failover should do much better; the proportional bound is the floor.)
 //
-//   Bounded setup tail. The worst per-function p99 setup time under chaos
-//   stays within kSetupTailSlack x the fault-free run's worst p99 — the
-//   recovery ladder is allowed to cost time, never a tail collapse.
+//   Bounded setup tail. The p99 setup time over every served invocation
+//   of the fleet (about 1.4k samples, pooled across lanes and hosts) under
+//   chaos stays within kSetupTailSlack x the same pooled p99 of a
+//   fault-free run — the recovery ladder is allowed to cost time, never a
+//   tail collapse. The p99 is exact (linear interpolation over the pooled
+//   samples): a per-lane p99 over fewer than 100 samples would only be
+//   each lane's maximum. Every lane's first invocation is a cold boot, and
+//   those 49 samples (3.3%) fill the top 1%, so the p99 reads the
+//   cold-boot setup until more than 1% of invocations exceed it.
 //
 //   Determinism. The full cluster ledger (migration + failover + health +
 //   shed + arbiter + per-function stats) is bit-identical between a
@@ -148,6 +158,18 @@ std::unique_ptr<ClusterEngine> make_cluster(const SystemConfig& cfg,
   return cluster;
 }
 
+/// Exact p99 setup time (ms) over every served invocation of the cluster.
+/// Each lane is reported once, on its current host, with its outcomes over
+/// its whole life.
+double pooled_p99_setup_ms(const ClusterReport& report) {
+  std::vector<double> setup_ns;
+  for (const ClusterHostReport& host : report.hosts)
+    for (const FunctionReport& f : host.report.functions)
+      for (const InvocationOutcome& o : f.outcomes)
+        setup_ns.push_back(o.result.setup.setup_ns);
+  return to_ms(percentile_of(setup_ns, 99));
+}
+
 struct SeedRow {
   u64 seed = 0;
   u64 offered = 0, completed = 0, shed = 0, shed_host_lost = 0;
@@ -171,12 +193,8 @@ SeedRow summarize(u64 seed, const ClusterReport& report, bool match) {
       row.shed += f.overload.total_shed();
       row.shed_host_lost += f.overload.shed_by(ShedCause::kHostLost);
     }
-    // The bucketed histograms live in the metrics snapshot, which lists
-    // each lane once, on its current host, over its whole life.
-    for (const FunctionMetrics& m : host.report.metrics.functions)
-      row.p99_setup_ms =
-          std::max(row.p99_setup_ms, to_ms(m.setup_ns.percentile(99)));
   }
+  row.p99_setup_ms = pooled_p99_setup_ms(report);
   for (const MigrationEvent& m : report.migrations) {
     ++row.migrations;
     if (m.outcome == MigrationOutcome::kAborted) ++row.aborted_migrations;
@@ -191,7 +209,7 @@ SeedRow summarize(u64 seed, const ClusterReport& report, bool match) {
   return row;
 }
 
-void write_json(const std::string& path, u64 budget,
+void write_json(const std::string& path, u64 budget, double clean_p99_ms,
                 const std::vector<SeedRow>& rows) {
   FILE* out = std::fopen(path.c_str(), "w");
   if (out == nullptr) {
@@ -202,10 +220,11 @@ void write_json(const std::string& path, u64 budget,
                "{\"bench\":\"cluster_chaos\",\"faults_enabled\":%s,"
                "\"hosts\":%zu,\"lanes\":%zu,\"requests_per_lane\":%zu,"
                "\"hog_requests\":%zu,\"expected_hosts_lost\":%zu,"
-               "\"fast_budget_bytes\":%llu,\"seeds\":[",
+               "\"fast_budget_bytes\":%llu,\"clean_p99_setup_ms\":%.4f,"
+               "\"seeds\":[",
                fault_injection_enabled() ? "true" : "false", kHosts,
                kLanes + 1, kRequestsPerLane, kHogRequests, kExpectedHostsLost,
-               static_cast<unsigned long long>(budget));
+               static_cast<unsigned long long>(budget), clean_p99_ms);
   for (size_t i = 0; i < rows.size(); ++i) {
     const SeedRow& r = rows[i];
     std::fprintf(out,
@@ -310,16 +329,12 @@ int main(int argc, char** argv) {
   double clean_p99_ms = 0;
   if (faults) {
     auto baseline = make_cluster(cfg, budget, kSeeds[0], /*with_faults=*/false);
-    const ClusterReport clean_report = baseline->run(threads).value();
-    for (const ClusterHostReport& host : clean_report.hosts)
-      for (const FunctionMetrics& m : host.report.metrics.functions)
-        clean_p99_ms =
-            std::max(clean_p99_ms, to_ms(m.setup_ns.percentile(99)));
+    clean_p99_ms = pooled_p99_setup_ms(baseline->run(threads).value());
     std::printf("fault-free baseline p99 setup: %.3f ms\n", clean_p99_ms);
   }
 
   write_json(bench::artifact_path(argc, argv, "cluster_chaos.json"), budget,
-             rows);
+             clean_p99_ms, rows);
 
   bool exactly_once = true, proportional = true, tail_ok = true,
        crashes_ok = true;

@@ -47,7 +47,9 @@ u64 TossFunction::tier_resident_bytes(size_t rank) const {
 }
 
 TossInvocationRecord TossFunction::handle(int input, u64 invocation_seed) {
-  if (options_.drop_caches_between_invocations) store_->drop_caches();
+  // The evaluation methodology drops the host page cache between
+  // invocations.
+  store_->drop_caches();
   const Invocation inv = model_->invoke(input, invocation_seed);
   TossInvocationRecord rec;
   switch (phase_) {

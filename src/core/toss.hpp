@@ -46,9 +46,6 @@ struct TossOptions {
   std::optional<double> slo_slowdown;
   double reprofile_budget = 1e-4;
   DamonConfig damon;
-  /// The evaluation methodology drops the host page cache between
-  /// invocations; disable for keep-warm studies.
-  bool drop_caches_between_invocations = true;
   /// Recovery ladder: bounded retry (with simulated, jittered backoff) for
   /// transient faults on restore, execution and snapshot persistence. With
   /// no faults injected the policy is never consulted.

@@ -4,6 +4,11 @@
 
 namespace toss {
 
+namespace {
+/// Slow-tier pool for warm VMs; effectively abundant (paper: 768 GB).
+constexpr u64 kSlowBudgetBytes = 64 * kGiB;
+}  // namespace
+
 const char* arbiter_action_name(ArbiterAction action) {
   switch (action) {
     case ArbiterAction::kEvictWarm: return "evict_warm";
@@ -20,7 +25,7 @@ FastTierArbiter::FastTierArbiter(ArbiterOptions options, u64 fast_budget_bytes,
     : options_(options),
       budget_(fast_budget_bytes),
       max_rung_(static_cast<int>(std::max<size_t>(tier_count, 1))),
-      warm_(KeepAliveConfig{fast_budget_bytes, options.slow_budget_bytes}) {
+      warm_(KeepAliveConfig{fast_budget_bytes, kSlowBudgetBytes}) {
   options_.demote_step = std::clamp(options_.demote_step, 0.0, 1.0);
 }
 

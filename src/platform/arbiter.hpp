@@ -56,8 +56,6 @@ struct ArbiterOptions {
   /// Fleet fast-tier budget. 0 = use the SystemConfig's installed fast-tier
   /// capacity (TierSpec::capacity_bytes), resolved by the engine.
   u64 fast_budget_bytes = 0;
-  /// Slow-tier pool for warm VMs; effectively abundant (paper: 768 GB).
-  u64 slow_budget_bytes = 64 * kGiB;
   /// Rung-1 demotion cap as a fraction of the function's unconstrained
   /// fast-tier bytes; every deeper rung is a tier floor one rank further
   /// down the ladder (the last rung leaves only the deepest tier).

@@ -10,6 +10,12 @@
 
 namespace toss {
 
+namespace {
+/// Bounded retry for aborted migration transfers (simulated backoff,
+/// charged to the lane only when the move eventually commits).
+const RetryPolicy kMigrationRetry{};
+}  // namespace
+
 const char* migration_outcome_name(MigrationOutcome outcome) {
   switch (outcome) {
     case MigrationOutcome::kCommitted: return "committed";
@@ -363,7 +369,7 @@ void ClusterEngine::maybe_migrate() {
     const u64 moved = rb.fast + rb.slow;
     FaultInjector& inj = *health_[s].injector;
     const u32 max_attempts =
-        static_cast<u32>(std::max(1, options_.migration_retry.max_attempts));
+        static_cast<u32>(std::max(1, kMigrationRetry.max_attempts));
     u32 attempts = 0;
     Nanos backoff = 0;
     bool committed = false;
@@ -374,7 +380,7 @@ void ClusterEngine::maybe_migrate() {
         break;
       }
       if (attempts < max_attempts)
-        backoff += options_.migration_retry.backoff_ns(
+        backoff += kMigrationRetry.backoff_ns(
             static_cast<int>(attempts) - 1, migration_rng_);
     }
     if (!committed) {
@@ -546,8 +552,7 @@ void ClusterEngine::fail_over(size_t dead_host) {
 
 Result<ClusterReport> ClusterEngine::run(int threads) {
   if (threads <= 0) threads = LaneExecutor::hardware_threads();
-  // A single participant runs every round inline on this thread.
-  LaneExecutor executor(function_count() > 1 ? threads : 1);
+  LaneExecutor executor(threads);
 
   // Real elapsed time is a measurement channel (ClusterReport::wall_ns),
   // not simulated state; the ledger-equality harness strips it.

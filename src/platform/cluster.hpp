@@ -65,9 +65,6 @@ struct ClusterOptions {
   /// (seed, host name) — distinct from host_options.fault_plan, which
   /// drives the per-lane snapshot sites. Inert without -DTOSS_FAULTS=ON.
   FaultPlan cluster_fault_plan;
-  /// Bounded retry for aborted migration transfers (simulated backoff,
-  /// charged to the lane only when the move eventually commits).
-  RetryPolicy migration_retry;
   /// Survive host crashes by re-placing the dead host's lanes onto
   /// survivors; when off, a crash sheds everything pending as kHostLost.
   bool enable_failover = true;

@@ -1,7 +1,10 @@
 #include "platform/concurrency.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <exception>
+#include <thread>
 
 namespace toss {
 
@@ -70,185 +73,42 @@ bool RankedMutex::try_lock() {
 }
 
 // ---------------------------------------------------------------------------
-// LaneExecutor (work-stealing epochs, DESIGN.md §15).
-
-namespace {
-/// Spins on the epoch-generation / completion atomics before parking or
-/// yielding. Epochs are microseconds apart mid-drain, so this is nearly
-/// always enough.
-constexpr int kIdleSpins = 4096;
-}  // namespace
-
-LaneExecutor::LaneExecutor(int threads) {
-  const size_t workers =
-      threads > 1 ? static_cast<size_t>(threads - 1) : size_t{0};
-  slots_.reserve(workers + 1);
-  for (size_t i = 0; i < workers + 1; ++i)
-    slots_.push_back(std::make_unique<Slot>());
-  workers_.reserve(workers);
-  for (size_t i = 0; i < workers; ++i)
-    workers_.emplace_back([this, i] { worker_loop(i); });
-}
+// LaneExecutor (fork-join epochs, DESIGN.md §15).
 
 int LaneExecutor::hardware_threads() {
   return std::max(1u, std::thread::hardware_concurrency());
 }
 
-LaneExecutor::~LaneExecutor() {
-  stop_.store(true, std::memory_order_release);
-  // The generation bump doubles as the shutdown signal: spinners see it
-  // (with stop_ set and no work) and exit; parked workers need the wakeup.
-  epoch_gen_.fetch_add(1, std::memory_order_release);
-  {
-    std::lock_guard<RankedMutex> lock(park_mu_);
-  }
-  park_cv_.notify_all();
-  for (std::thread& w : workers_) w.join();
-}
-
-bool LaneExecutor::pop_local(size_t self, size_t* index) {
-  Slot& slot = *slots_[self];
-  std::lock_guard<RankedMutex> lock(slot.mu);
-  if (slot.deque.empty()) return false;
-  Chunk& back = slot.deque.back();
-  *index = back.begin++;
-  if (back.begin >= back.end) slot.deque.pop_back();
-  return true;
-}
-
-bool LaneExecutor::steal_half(size_t self, Chunk* chunk) {
-  const size_t p = slots_.size();
-  for (size_t offset = 1; offset < p; ++offset) {
-    Slot& victim = *slots_[(self + offset) % p];
-    // One deque lock at a time (they share a rank): the stolen chunk is
-    // extracted here and pushed onto our own deque by the caller, after
-    // this lock is gone.
-    std::lock_guard<RankedMutex> lock(victim.mu);
-    if (victim.deque.empty()) continue;
-    Chunk& front = victim.deque.front();
-    const size_t len = front.end - front.begin;
-    if (len <= 1) {
-      *chunk = front;
-      victim.deque.erase(victim.deque.begin());
-    } else {
-      // Steal-half: take the upper half, leave the lower half in place so
-      // a third worker can still split the remainder.
-      const size_t mid = front.begin + (len + 1) / 2;
-      *chunk = Chunk{mid, front.end};
-      front.end = mid;
-    }
-    steals_.fetch_add(1, std::memory_order_relaxed);
-    return true;
-  }
-  return false;
-}
-
-void LaneExecutor::record_error() {
-  std::lock_guard<RankedMutex> lock(park_mu_);
-  if (!first_error_) first_error_ = std::current_exception();
-}
-
-void LaneExecutor::work(size_t self) {
-  for (;;) {
-    size_t index;
-    while (pop_local(self, &index)) {
-      // Re-load per index: a straggler that pops a chunk dealt by the
-      // *next* epoch must run that epoch's function, not a dangling
-      // reference to the one it was woken for.
-      const std::function<void(size_t)>* fn =
-          fn_.load(std::memory_order_acquire);
-      try {
-        (*fn)(index);
-        // Not swallowed: captured whole and rethrown from run_epoch's
-        // join.
-      } catch (...) {  // toss-lint: allow(swallowed-error)
-        record_error();
-      }
-      remaining_.fetch_sub(1, std::memory_order_acq_rel);
-    }
-    Chunk stolen;
-    if (!steal_half(self, &stolen)) return;  // every deque is dry
-    std::lock_guard<RankedMutex> lock(slots_[self]->mu);
-    slots_[self]->deque.push_back(stolen);
-  }
-}
-
-void LaneExecutor::worker_loop(size_t self) {
-  // Every worker starts from the generation at construction (0), never
-  // from whatever the counter reads when its thread first runs: a worker
-  // scheduled after the first run_epoch() (or the destructor) has already
-  // bumped the generation would otherwise take that bump as its baseline
-  // and sleep through the epoch it was spawned to serve.
-  u64 seen = 0;
-  for (;;) {
-    // Wait for the next generation: spin first (back-to-back epochs), park
-    // only when the drain has genuinely gone idle.
-    u64 gen = epoch_gen_.load(std::memory_order_acquire);
-    if (gen == seen) {
-      for (int spin = 0; spin < kIdleSpins && gen == seen; ++spin)
-        gen = epoch_gen_.load(std::memory_order_acquire);
-      if (gen == seen) {
-        std::unique_lock<RankedMutex> lock(park_mu_);
-        parked_.fetch_add(1, std::memory_order_release);
-        park_cv_.wait(lock, [this, seen] {
-          return epoch_gen_.load(std::memory_order_acquire) != seen;
-        });
-        parked_.fetch_sub(1, std::memory_order_release);
-        gen = epoch_gen_.load(std::memory_order_acquire);
-      }
-    }
-    seen = gen;
-    if (stop_.load(std::memory_order_acquire)) return;
-    work(self);
-  }
-}
-
 void LaneExecutor::run_epoch(size_t n, const std::function<void(size_t)>& fn) {
-  if (n == 0) return;
-  if (workers_.empty() || n <= 1) {
+  const size_t p = std::min(n, static_cast<size_t>(threads_));
+  if (p <= 1) {
     for (size_t i = 0; i < n; ++i) fn(i);
     return;
   }
-  const size_t p = slots_.size();
-  const size_t caller = p - 1;
-  // Publish the function and the countdown BEFORE any chunk is dealt: a
-  // straggler that pops a fresh chunk synchronizes through the deque
-  // mutex, so everything stored before the push is visible to it.
-  fn_.store(&fn, std::memory_order_release);
-  remaining_.store(n, std::memory_order_release);
-  // Deal [0, n) into contiguous per-participant chunks; the caller's slot
-  // is dealt too, so with perfectly even costs no steal ever happens.
-  for (size_t s = 0; s < p; ++s) {
-    const size_t begin = n * s / p;
-    const size_t end = n * (s + 1) / p;
-    if (begin >= end) continue;
-    std::lock_guard<RankedMutex> lock(slots_[s]->mu);
-    slots_[s]->deque.push_back(Chunk{begin, end});
-  }
-  epoch_gen_.fetch_add(1, std::memory_order_release);
-  if (parked_.load(std::memory_order_acquire) > 0) {
-    // Empty critical section: pairs the notify with the waiter's re-check
-    // so a worker deciding to park right now cannot miss the generation.
-    {
-      std::lock_guard<RankedMutex> lock(park_mu_);
+  std::atomic<size_t> next{0};
+  RankedMutex error_mu{LockRank::kLaneExecutor, "LaneExecutor::error_mu"};
+  std::exception_ptr first_error;
+  const auto participate = [&] {
+    for (;;) {
+      const size_t i = next++;
+      if (i >= n) return;
+      try {
+        fn(i);
+        // Not swallowed: captured whole and rethrown after the join.
+      } catch (...) {  // toss-lint: allow(swallowed-error)
+        std::lock_guard<RankedMutex> lock(error_mu);
+        if (!first_error) first_error = std::current_exception();
+      }
     }
-    park_cv_.notify_all();
-  }
-
-  work(caller);
-  // The caller's deque is dry and nothing was stealable, so only indices
-  // already claimed by workers remain: spin them out (they are mid-fn, not
-  // queued — this wait is bounded by one chunk's work).
-  for (int spin = 0; remaining_.load(std::memory_order_acquire) > 0; ++spin)
-    if (spin >= kIdleSpins) std::this_thread::yield();
-
-  std::exception_ptr error;
+  };
   {
-    std::lock_guard<RankedMutex> lock(park_mu_);
-    error = first_error_;
-    first_error_ = nullptr;
+    // jthreads join on every exit path, a failed spawn included.
+    std::vector<std::jthread> helpers;
+    helpers.reserve(p - 1);
+    for (size_t t = 1; t < p; ++t) helpers.emplace_back(participate);
+    participate();
   }
-  if (error) std::rethrow_exception(error);
+  if (first_error) std::rethrow_exception(first_error);
 }
 
 ConcurrencyOutcome run_concurrent(const SystemConfig& cfg,

@@ -13,12 +13,9 @@
 // invocations spread their demand over a longer window, lowering pressure).
 #pragma once
 
-#include <atomic>
-#include <condition_variable>
+#include <algorithm>
 #include <functional>
-#include <memory>
 #include <mutex>
-#include <thread>
 #include <vector>
 
 #include "util/contracts.hpp"
@@ -40,13 +37,12 @@ namespace toss {
 
 /// Global lock ordering, lowest acquired first: a thread holding a lock
 /// may take only higher-ranked ones, never the reverse. The
-/// LaneExecutor's locks rank below everything: a deque or park lock is
-/// held only around its own queue operation — never across a lane task —
-/// so a worker inside a task may take any platform lock, while code
-/// holding a platform lock can never re-enter the executor.
+/// LaneExecutor's error lock ranks below everything: it is held only to
+/// record an exception — never across a lane task — so a participant
+/// inside a task may take any platform lock, while code holding a
+/// platform lock can never re-enter the executor.
 enum class LockRank : int {
-  kLaneExecutorQueue = 4,  ///< LaneExecutor per-worker deque mutexes
-  kLaneExecutorPark = 6,   ///< LaneExecutor idle-park mutex
+  kLaneExecutor = 6,  ///< LaneExecutor first-error record
   /// Host::mu_, which guards the host's first-failure record: lanes of
   /// one epoch run concurrently and any of them may fail.
   kEngineScheduler = 10,
@@ -88,27 +84,13 @@ std::optional<std::string> lock_rank_violation(const RankedMutex& m);
 }  // namespace detail
 
 // ---------------------------------------------------------------------------
-// Work-stealing lane executor (DESIGN.md §15).
+// Fork-join lane executor (DESIGN.md §15).
 //
-// The epoch scheduler's unit of work is one lane chunk, and lane costs are
-// wildly uneven (a cold restore is ~1000x a warm hit), so static
-// round-robin leaves workers idle behind the slowest lane. This executor
-// balances dynamically:
-//
-//   - Per-participant deques of contiguous index chunks. run_epoch(n, fn)
-//     splits [0, n) evenly across the workers plus the calling thread;
-//     each participant pops single indices from the *back* of its own
-//     deque and, when empty, steals the *front* chunk of a victim's deque
-//     — taking half and leaving half (steal-half), so a large remainder
-//     stays stealable by others.
-//   - One epoch-generation atomic replaces the per-epoch condition-
-//     variable round: workers spin briefly on the generation counter
-//     between epochs and park on a condition variable only after the spin
-//     budget, so back-to-back epochs (the common case mid-drain) cost two
-//     atomic ops per worker instead of a syscall-backed CV wakeup.
-//   - Completion is an atomic countdown of finished indices; the caller
-//     participates in the work and then spins out the stragglers, so an
-//     epoch never sleeps on the hot path.
+// run_epoch(n, fn) uses p = min(n, threads) participants: the caller plus
+// p - 1 threads that live for this epoch only. Every participant claims
+// indices from one shared counter until it reaches n, so a slow lane
+// never holds back the indices behind it. The join is the barrier: no
+// state survives an epoch.
 //
 // Determinism: the executor schedules, it never reorders data — fn(k)
 // must touch only state owned by index k (lane-local state in the
@@ -119,67 +101,22 @@ std::optional<std::string> lock_rank_violation(const RankedMutex& m);
 
 class LaneExecutor {
  public:
-  /// Total parallelism including the calling thread: `threads - 1` workers
-  /// are spawned (clamped to >= 0), and run_epoch() uses the caller as the
-  /// final participant.
-  explicit LaneExecutor(int threads);
-  ~LaneExecutor();
+  /// Total parallelism including the calling thread (clamped to >= 1).
+  explicit LaneExecutor(int threads) : threads_(std::max(threads, 1)) {}
 
-  LaneExecutor(const LaneExecutor&) = delete;
-  LaneExecutor& operator=(const LaneExecutor&) = delete;
-
-  /// Participants (workers + the caller).
-  int thread_count() const { return static_cast<int>(workers_.size()) + 1; }
+  /// Participants per epoch at most (spawned threads + the caller).
+  int thread_count() const { return threads_; }
 
   /// std::thread::hardware_concurrency with a floor of 1.
   static int hardware_threads();
 
-  /// Run fn(0..n-1) across the participants; returns when every index has
-  /// completed. Inline when there are no workers or n <= 1. The first
+  /// Run fn(0..n-1) across min(n, threads) participants; returns when
+  /// every index has completed. Inline with one participant. The first
   /// exception thrown by any index is rethrown here.
   void run_epoch(size_t n, const std::function<void(size_t)>& fn);
 
-  /// Chunks obtained by stealing since construction (observability; the
-  /// scheduling tests assert the steal path is actually exercised).
-  u64 steals() const { return steals_.load(std::memory_order_relaxed); }
-
  private:
-  struct Chunk {
-    size_t begin = 0;
-    size_t end = 0;  ///< exclusive
-  };
-  /// One participant's deque. unique_ptr keeps RankedMutex addresses
-  /// stable; the shell padding would be cache-line alignment in a larger
-  /// system, but the deque lock is cold enough not to matter here.
-  struct Slot {
-    RankedMutex mu{LockRank::kLaneExecutorQueue, "LaneExecutor::slot"};
-    std::vector<Chunk> deque;  ///< back = owner's end, front = steal end
-  };
-
-  void worker_loop(size_t self);
-  /// Drain work for the current epoch: pop own deque, then steal-half.
-  void work(size_t self);
-  bool pop_local(size_t self, size_t* index);
-  bool steal_half(size_t self, Chunk* chunk);
-  void record_error();
-
-  std::vector<std::unique_ptr<Slot>> slots_;  ///< workers first, caller last
-  std::vector<std::thread> workers_;
-  std::atomic<u64> epoch_gen_{0};
-  std::atomic<size_t> remaining_{0};  ///< indices not yet completed
-  std::atomic<bool> stop_{false};
-  std::atomic<u64> steals_{0};
-  /// Epoch work function. Published (release) *before* the chunks are
-  /// dealt and loaded (acquire) per popped index, so a straggler from the
-  /// previous epoch that pops a fresh chunk runs the fresh function — the
-  /// deque mutex it popped under orders the two stores.
-  std::atomic<const std::function<void(size_t)>*> fn_{nullptr};
-
-  // Idle parking (rare path: only after the between-epoch spin budget).
-  std::atomic<int> parked_{0};
-  RankedMutex park_mu_{LockRank::kLaneExecutorPark, "LaneExecutor::park_mu_"};
-  std::condition_variable_any park_cv_;
-  std::exception_ptr first_error_;  ///< guarded by park_mu_
+  int threads_;
 };
 
 namespace detail {

@@ -4,7 +4,7 @@
 // calling thread. The engine scales that out: every registered function
 // becomes a *lane* — an isolated single-function host (own SnapshotStore,
 // own page cache, own policy state machine) plus its request stream — and
-// an epoch scheduler drains all lanes on a work-stealing LaneExecutor.
+// an epoch scheduler drains all lanes on a fork-join LaneExecutor.
 //
 // Since the Host extraction (platform/host.hpp, platform-internal) the
 // engine is a thin façade over one Host. All the guarantees live there:

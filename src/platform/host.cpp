@@ -177,8 +177,7 @@ void Host::record_error(ErrorCode code, std::string message) {
 void Host::shed(HostLane& lane, size_t request_index, ShedCause cause) {
   const size_t c = static_cast<size_t>(cause);
   ++lane.overload.shed[c];
-  if (options_.keep_shed_events)
-    lane.shed_events.push_back(ShedEvent{request_index, cause, lane.sim_now});
+  lane.shed_events.push_back(ShedEvent{request_index, cause, lane.sim_now});
 }
 
 void Host::admit_arrivals(HostLane& lane, bool admission_closed) {
@@ -453,9 +452,7 @@ Result<EngineReport> Host::drain(int threads) {
   // Real elapsed time is a measurement channel (EngineReport::wall_ns),
   // not simulated state; the ledger-equality harness strips it.
   const auto t0 = std::chrono::steady_clock::now();  // toss-lint: allow(det-wallclock)
-  // Workers pay off only with more than one lane to spread; a single
-  // participant runs every epoch inline on this thread.
-  LaneExecutor executor(function_count() > 1 ? threads : 1);
+  LaneExecutor executor(threads);
   for (;;) {
     const Result<EpochPlan> plan = plan_epoch();
     if (!plan.ok() || plan->empty()) break;

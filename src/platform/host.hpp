@@ -96,7 +96,8 @@ struct OverloadStats {
 };
 
 struct EngineOptions {
-  /// Worker threads for run()/drain(); 0 = LaneExecutor::hardware_threads().
+  /// Participants per epoch for run()/drain(), the calling thread
+  /// included; 0 = LaneExecutor::hardware_threads().
   int threads = 0;
   /// Requests a lane serves per epoch (>= 1).
   int chunk = 8;
@@ -124,8 +125,6 @@ struct EngineOptions {
   Nanos watchdog_chunk_budget_ns = 0;
   /// Host fast-tier budget arbiter (platform/arbiter.hpp).
   ArbiterOptions arbiter;
-  /// Keep per-lane ShedEvent ledgers in the report.
-  bool keep_shed_events = true;
 };
 
 struct FunctionReport {
@@ -140,7 +139,7 @@ struct FunctionReport {
   /// and reports it all-zero otherwise (nothing is shed then, and
   /// stats.invocations is the ledger).
   OverloadStats overload;
-  /// Shed decisions in decision order; empty unless keep_shed_events.
+  /// Shed decisions in decision order (every shed request, once).
   std::vector<ShedEvent> shed_events;
 };
 
@@ -251,8 +250,9 @@ class Host {
   /// outcomes and ledgers since construction, across all drains).
   /// Reusable: enqueue more work and drain again. threads <= 0 = hardware
   /// concurrency. Each epoch is the three phases below, with the parallel
-  /// phase on a LaneExecutor. A lane failure is sticky: the error is
-  /// returned now and on every later drain.
+  /// phase forked over min(active lanes, threads) participants and joined
+  /// before the barrier. A lane failure is sticky: the error is returned
+  /// now and on every later drain.
   Result<EngineReport> drain(int threads);
 
   /// Serial plan phase: the active-lane set and the admission-gate

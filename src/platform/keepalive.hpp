@@ -8,8 +8,8 @@
 // a DRAM-only platform that is the whole VM; for TOSS it is only the fast
 // (DRAM) share of the tiered snapshot — which is exactly why a fixed DRAM
 // budget keeps many more TOSS VMs warm.
-// Thread safety (DESIGN.md §15): the cache is shared across lanes once the
-// work-stealing executor lets any worker run any lane, so every public
+// Thread safety (DESIGN.md §15): the cache is shared across lanes, and the
+// lane executor lets any participant run any lane, so every public
 // method takes the optimistic version-stamped latch — shared (CAS-counted)
 // for reads that walk the entry map, exclusive for mutation. The byte
 // gauges are atomics read under the optimistic protocol: zero stores, so

@@ -33,7 +33,7 @@
 //
 // Mutation stays confined to the epoch barrier or to the lane that owns
 // the entry (the engine's determinism argument); this latch makes the
-// *reads* free once lanes steal across workers.
+// *reads* free once any participant may run any lane.
 #pragma once
 
 #include <atomic>

@@ -19,10 +19,10 @@
 //     so the recovery ladder degrades to the retained single-tier snapshot
 //     and Step V regenerates a fresh artifact instead of re-mapping rot.
 //
-// Thread safety (DESIGN.md §15): once the work-stealing executor lets any
-// worker run any lane, a store's resident-byte accounting is read from the
-// arbiter barrier while another worker may be serving its lane — so the
-// container maps are guarded by the vmcache optimistic version-stamped
+// Thread safety (DESIGN.md §15): the lane executor lets any participant
+// run any lane, and a store's resident-byte accounting is read from the
+// arbiter barrier while another participant may be serving its lane, so
+// the container maps are guarded by the vmcache optimistic version-stamped
 // latch: shared (CAS-counted, lock-free) for every read that walks the
 // maps, exclusive for puts, fault arming, quarantine and damage hooks.
 // Returned blob pointers stay valid after the guard drops because std::map

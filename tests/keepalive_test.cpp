@@ -128,8 +128,8 @@ TEST(KeepAlive, PredictedReuseBoostsPriority) {
 }
 
 TEST(KeepAlive, ConcurrentReadersRaceOneEvictor) {
-  // DESIGN.md §15: once the work-stealing executor lets any worker run any
-  // lane, the cache is shared hot state. Several readers hammer the gauges
+  // DESIGN.md §15: the lane executor lets any participant run any lane,
+  // so the cache is shared hot state. Several readers hammer the gauges
   // (optimistic protocol, zero stores) and the map walks (shared latch)
   // while one writer drives insert-pressure evictions. Under
   // -DTOSS_SANITIZE=thread this is the data-race audit of the latch; in

@@ -149,8 +149,8 @@ TEST(TossLint, BadProjectFailsWithFileLineRuleDiagnostics) {
             std::string::npos)
       << run.output;
   // det-fp-accum: shared += and atomic<double>::fetch_add inside the
-  // parallel_for call, and a shared += inside a work-stealing executor's
-  // run_epoch call.
+  // parallel_for call, and a shared += inside an executor's run_epoch
+  // call.
   EXPECT_NE(run.output.find("src/core/bad_fp_accum.cpp:18 det-fp-accum"),
             std::string::npos)
       << run.output;

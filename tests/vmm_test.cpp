@@ -694,8 +694,8 @@ TEST_F(SnapshotFailureTest, RestoreOverrunMappingThrowsCorrupted) {
 }
 
 TEST(SnapshotStore, ConcurrentReadersRaceOneWriter) {
-  // DESIGN.md §15: the store's blob maps are shared hot state once lanes
-  // steal across workers. Readers hammer the latch-internal read paths
+  // DESIGN.md §15: the store's blob maps are shared hot state once any
+  // participant may run any lane. Readers hammer the latch-internal read paths
   // (resident-byte accounting, verification, quarantine checks) while one
   // writer keeps publishing, quarantining and truncating artifacts. Under
   // -DTOSS_SANITIZE=thread this audits the optimistic latch; in any build

@@ -29,9 +29,9 @@
 //                       fetch_add on an atomic<double>, lexically inside
 //                       a parallel_for(...), .submit(...) or
 //                       .run_epoch(...) call — the last is the
-//                       work-stealing LaneExecutor's fan-out point, where
-//                       a stolen chunk makes accumulation order depend on
-//                       the steal schedule. FP addition is
+//                       LaneExecutor's fan-out point, where indices are
+//                       claimed dynamically, so accumulation order
+//                       depends on the claim schedule. FP addition is
 //                       non-associative, so a racy accumulation order
 //                       changes the low bits run to run. Accumulate
 //                       per-task and reduce in index order instead (see
@@ -252,8 +252,8 @@ FloatSymbols float_decls(const SourceFile& f) {
 /// Token-index ranges lexically inside `parallel_for(...)`,
 /// `.submit(...)` / `->submit(...)` and `.run_epoch(...)` /
 /// `->run_epoch(...)` call argument lists (the latter is the LaneExecutor
-/// work-stealing fan-out; its steal schedule reorders execution just like
-/// the pool's claim order does).
+/// fan-out; its dynamic claim order reorders execution just like a pool's
+/// does).
 std::vector<std::pair<size_t, size_t>> parallel_spans(const SourceFile& f) {
   std::vector<std::pair<size_t, size_t>> spans;
   const std::vector<Token>& t = f.tokens;
@@ -323,9 +323,9 @@ void run_determinism(const Project& project, std::vector<Finding>& findings) {
   // (platform/metrics.hpp), the cluster's migration/failover/health event
   // ledgers (platform/cluster.hpp, DESIGN.md §13), the QoS shed/SLO
   // vocabulary (platform/qos.hpp, DESIGN.md §14 — ShedCause-indexed
-  // counters and the per-class attainment rollups), and the work-stealing
+  // counters and the per-class attainment rollups), and the lane
   // executor (platform/concurrency.hpp, DESIGN.md §15 — everything it
-  // fans out feeds a ledger from a steal-ordered worker) — rooting the
+  // fans out feeds a ledger in claim order) — rooting the
   // set at all four keeps every consumer covered even if its include
   // graph stops reaching the metrics header.
   const std::set<std::string> kLedgerHeaders = {
