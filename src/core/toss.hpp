@@ -126,7 +126,9 @@ class TossFunction {
   /// intentional, not access-pattern drift.
   bool retier(RetierBound bound);
   bool retier(std::optional<u64> max_fast_bytes) {
-    return retier(RetierBound{max_fast_bytes, 0});
+    RetierBound bound;
+    bound.max_fast_bytes = max_fast_bytes;
+    return retier(bound);
   }
   /// The bound the last successful retier() applied.
   const RetierBound& retier_bound() const { return bound_; }

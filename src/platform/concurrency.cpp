@@ -3,74 +3,11 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <exception>
 #include <thread>
 
 namespace toss {
-
-namespace detail {
-
-namespace {
-// Ranks (not pointers) of the locks this thread currently holds, in
-// acquisition order. thread_local so the detector needs no global lock of
-// its own.
-thread_local std::vector<const RankedMutex*> t_held_locks;
-}  // namespace
-
-std::optional<std::string> lock_rank_violation(const RankedMutex& m) {
-  if (t_held_locks.empty()) return std::nullopt;
-  const RankedMutex* top = t_held_locks.back();
-  if (static_cast<int>(m.rank()) > static_cast<int>(top->rank()))
-    return std::nullopt;
-  return std::string("lock-rank violation: acquiring '") + m.name() +
-         "' (rank " + std::to_string(static_cast<int>(m.rank())) +
-         ") while holding '" + top->name() + "' (rank " +
-         std::to_string(static_cast<int>(top->rank())) +
-         "); locks must be taken in increasing rank order";
-}
-
-void lock_rank_push(const RankedMutex& m) { t_held_locks.push_back(&m); }
-
-void lock_rank_pop(const RankedMutex& m) {
-  // Unlocks are LIFO in practice (lock_guard / unique_lock / cv wait), but
-  // tolerate out-of-order release: erase the most recent matching entry.
-  for (auto it = t_held_locks.rbegin(); it != t_held_locks.rend(); ++it) {
-    if (*it == &m) {
-      t_held_locks.erase(std::next(it).base());
-      return;
-    }
-  }
-}
-
-}  // namespace detail
-
-void RankedMutex::lock() {
-#ifdef TOSS_CHECKED
-  TOSS_VALIDATE(detail::lock_rank_violation(*this));
-#endif
-  mu_.lock();
-#ifdef TOSS_CHECKED
-  detail::lock_rank_push(*this);
-#endif
-}
-
-void RankedMutex::unlock() {
-#ifdef TOSS_CHECKED
-  detail::lock_rank_pop(*this);
-#endif
-  mu_.unlock();
-}
-
-bool RankedMutex::try_lock() {
-#ifdef TOSS_CHECKED
-  TOSS_VALIDATE(detail::lock_rank_violation(*this));
-#endif
-  const bool acquired = mu_.try_lock();
-#ifdef TOSS_CHECKED
-  if (acquired) detail::lock_rank_push(*this);
-#endif
-  return acquired;
-}
 
 // ---------------------------------------------------------------------------
 // LaneExecutor (fork-join epochs, DESIGN.md §15).
@@ -80,15 +17,17 @@ int LaneExecutor::hardware_threads() {
 }
 
 void LaneExecutor::run_epoch(size_t n, const std::function<void(size_t)>& fn) {
+  if (n == 0) return;
   const size_t p = std::min(n, static_cast<size_t>(threads_));
-  if (p <= 1) {
-    for (size_t i = 0; i < n; ++i) fn(i);
-    return;
-  }
+  // One slot per participant, written only by that participant: its
+  // lowest failing index and the error it threw.
+  struct Failure {
+    size_t index = SIZE_MAX;
+    std::exception_ptr error;
+  };
+  std::vector<Failure> failures(p);
   std::atomic<size_t> next{0};
-  RankedMutex error_mu{LockRank::kLaneExecutor, "LaneExecutor::error_mu"};
-  std::exception_ptr first_error;
-  const auto participate = [&] {
+  const auto participate = [&](Failure& failure) {
     for (;;) {
       const size_t i = next++;
       if (i >= n) return;
@@ -96,8 +35,7 @@ void LaneExecutor::run_epoch(size_t n, const std::function<void(size_t)>& fn) {
         fn(i);
         // Not swallowed: captured whole and rethrown after the join.
       } catch (...) {  // toss-lint: allow(swallowed-error)
-        std::lock_guard<RankedMutex> lock(error_mu);
-        if (!first_error) first_error = std::current_exception();
+        if (i < failure.index) failure = {i, std::current_exception()};
       }
     }
   };
@@ -105,10 +43,14 @@ void LaneExecutor::run_epoch(size_t n, const std::function<void(size_t)>& fn) {
     // jthreads join on every exit path, a failed spawn included.
     std::vector<std::jthread> helpers;
     helpers.reserve(p - 1);
-    for (size_t t = 1; t < p; ++t) helpers.emplace_back(participate);
-    participate();
+    for (size_t t = 1; t < p; ++t)
+      helpers.emplace_back([&, t] { participate(failures[t]); });
+    participate(failures[0]);
   }
-  if (first_error) std::rethrow_exception(first_error);
+  const auto lowest = std::min_element(
+      failures.begin(), failures.end(),
+      [](const Failure& a, const Failure& b) { return a.index < b.index; });
+  if (lowest->error) std::rethrow_exception(lowest->error);
 }
 
 ConcurrencyOutcome run_concurrent(const SystemConfig& cfg,

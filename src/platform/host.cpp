@@ -156,12 +156,11 @@ bool Host::idle() const {
   return true;
 }
 
-void Host::record_error(ErrorCode code, std::string message) {
-  std::lock_guard<RankedMutex> lock(mu_);
-  if (!failed_) {
-    failed_ = true;
-    error_code_ = code;
-    error_message_ = std::move(message);
+void Host::collect_lane_errors() {
+  for (const auto& lane : lanes_) {
+    if (lane == nullptr || lane->error.ok()) continue;
+    if (error_.ok()) error_ = lane->error;
+    lane->error = {};
   }
 }
 
@@ -259,7 +258,7 @@ void Host::process_chunk(HostLane& lane, bool admission_closed) {
     Result<InvocationOutcome> out =
         lane.host->invoke(lane.name, r.input, r.seed);
     if (!out.ok()) {  // inputs are pre-validated; belt-and-braces path
-      record_error(out.code(), out.message());
+      lane.error = {out.code(), out.message()};
       lane.arrived = lane.requests.size();
       lane.queue.clear();
       break;
@@ -407,7 +406,8 @@ void Host::arbiter_tick(FastTierArbiter& arbiter, u64 epoch) {
 }
 
 Result<EpochPlan> Host::plan_epoch() {
-  if (failed_) return {error_code_, error_message_};
+  collect_lane_errors();
+  if (!error_.ok()) return {error_.code(), error_.message()};
   EpochPlan plan;
   plan.active.reserve(lanes_.size());
   for (size_t i = 0; i < lanes_.size(); ++i)
@@ -432,9 +432,11 @@ void Host::run_planned_lane(const EpochPlan& plan, size_t k) {
 }
 
 Result<void> Host::finish_epoch() {
-  // The executor joined before this runs, so reading the failure flag and
-  // applying the cross-lane barrier decisions cannot race with workers.
-  if (failed_) return {error_code_, error_message_};
+  // The executor joined before this runs. Lane failures are collected in
+  // slot order first, so the error a failed epoch reports does not depend
+  // on which lane failed first in wall-clock time.
+  collect_lane_errors();
+  if (!error_.ok()) return error_;
   enforce_global_queue_bound();
   if (options_.arbiter.enabled) {
     FastTierArbiter& arbiter = *ensure_arbiter();
@@ -446,7 +448,7 @@ Result<void> Host::finish_epoch() {
 }
 
 Result<EngineReport> Host::drain(int threads) {
-  if (failed_) return {error_code_, error_message_};
+  if (!error_.ok()) return {error_.code(), error_.message()};
   if (threads <= 0) threads = LaneExecutor::hardware_threads();
 
   // Real elapsed time is a measurement channel (EngineReport::wall_ns),
@@ -464,7 +466,7 @@ Result<EngineReport> Host::drain(int threads) {
   wall_ns_ += static_cast<Nanos>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count());
 
-  if (failed_) return {error_code_, error_message_};
+  if (!error_.ok()) return {error_.code(), error_.message()};
   return report(threads);
 }
 
@@ -623,6 +625,8 @@ size_t Host::largest_tiered_lane() const {
 
 std::unique_ptr<HostLane> Host::extract_lane(size_t index) {
   if (index >= lanes_.size()) return nullptr;
+  // A failure stays with the host the lane failed on.
+  collect_lane_errors();
   // The null tombstone keeps later slot indices stable; the arbiter's
   // stale-entry handling pops the vanished lane from its demote stack on
   // the next tick (the same path a finished lane takes).

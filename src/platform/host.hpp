@@ -193,6 +193,9 @@ struct HostLane {
   std::vector<Request> requests;
   std::vector<InvocationOutcome> outcomes;
   std::atomic<int> in_flight{0};
+  /// This lane's failure, written by the participant that ran its chunk
+  /// and moved into the host's sticky error at the next serial phase.
+  Result<void> error;
 
   // Scheduler state.
   std::deque<size_t> queue;  ///< admitted, unserved request indices
@@ -358,7 +361,9 @@ class Host {
   const HostLane* find_lane(const std::string& name) const;
   Result<void> validate_requests(const std::string& name,
                                  const std::vector<Request>& requests) const;
-  void record_error(ErrorCode code, std::string message);
+  /// Move lane failures into the sticky host error, the first failed lane
+  /// in slot order winning. Serial phases only.
+  void collect_lane_errors();
 
   // Epoch-barrier scheduler (DESIGN.md §9).
   void process_chunk(HostLane& lane, bool admission_closed);
@@ -383,13 +388,8 @@ class Host {
   Nanos wall_ns_ = 0;  ///< real time spent draining, summed
   std::atomic<u64> serialization_violations_{0};
 
-  // First lane failure. Lanes of one epoch run concurrently and any of
-  // them may fail, so record_error() takes the rank-checked mutex; every
-  // read of the fields happens at a serial phase, after the epoch joined.
-  RankedMutex mu_{LockRank::kEngineScheduler, "Host::mu_"};
-  ErrorCode error_code_ = ErrorCode::kInvalidRequest;
-  std::string error_message_;
-  bool failed_ = false;
+  /// Sticky host failure: the first failed lane's error, in slot order.
+  Result<void> error_;
 };
 
 }  // namespace toss

@@ -6,17 +6,13 @@ namespace toss {
 
 SnapshotStore::SnapshotStore(const SystemConfig& cfg) : cfg_(&cfg) {}
 
-u64 SnapshotStore::allocate_file_id() {
-  return next_file_id_.fetch_add(1, std::memory_order_relaxed);
-}
+u64 SnapshotStore::allocate_file_id() { return next_file_id_++; }
 
 u64 SnapshotStore::put_single_tier(const GuestMemory& memory,
                                    const VmState& state) {
   // Stage first (the "temp file"): a torn write aborts before any store
   // state — including the id counter — changes, so the previous snapshot
-  // generation stays the one readers see. The exclusive guard's unlock
-  // bumps the version either way, so optimistic readers revalidate.
-  ExclusiveLatchGuard guard(latch_);
+  // generation stays the one readers see.
   if (faults_ && faults_->should_fire(FaultSite::kPutSingleTier))
     throw Error(ErrorCode::kTransientIo,
                 "torn write persisting single-tier snapshot");
@@ -25,22 +21,15 @@ u64 SnapshotStore::put_single_tier(const GuestMemory& memory,
   return id;
 }
 
-const SingleTierSnapshot* SnapshotStore::get_single_tier_unlocked(
-    u64 file_id) const {
+const SingleTierSnapshot* SnapshotStore::get_single_tier(u64 file_id) const {
   auto it = single_tier_.find(file_id);
   return it == single_tier_.end() ? nullptr : &it->second;
-}
-
-const SingleTierSnapshot* SnapshotStore::get_single_tier(u64 file_id) const {
-  SharedLatchGuard guard(latch_);
-  return get_single_tier_unlocked(file_id);
 }
 
 void SnapshotStore::put_tiered(TieredSnapshot snapshot) {
   // The tiered artifact is one file per ladder rank plus the layout; the
   // rename step publishes all of them at once. A torn write fires before
   // the alias or blob maps are touched.
-  ExclusiveLatchGuard guard(latch_);
   if (faults_ && faults_->should_fire(FaultSite::kPutTiered))
     throw Error(ErrorCode::kTransientIo,
                 "torn write persisting tiered snapshot");
@@ -60,11 +49,11 @@ u64 SnapshotStore::resolve_tiered(u64 file_id) const {
 TieredSnapshot* SnapshotStore::find_tiered_for_damage(u64 file_id) {
   auto it = tiered_.find(resolve_tiered(file_id));
   if (it == tiered_.end()) return nullptr;
-  it->second.verified.store(false, std::memory_order_release);
+  it->second.verified = false;
   return &it->second.snapshot;
 }
 
-const SnapshotStore::TieredEntry* SnapshotStore::get_tiered_entry_unlocked(
+const SnapshotStore::TieredEntry* SnapshotStore::get_tiered_entry(
     u64 file_id) const {
   const u64 fast_id = resolve_tiered(file_id);
   if (quarantined_.count(fast_id) > 0) return nullptr;
@@ -72,14 +61,9 @@ const SnapshotStore::TieredEntry* SnapshotStore::get_tiered_entry_unlocked(
   return it == tiered_.end() ? nullptr : &it->second;
 }
 
-const TieredSnapshot* SnapshotStore::get_tiered_unlocked(u64 file_id) const {
-  const TieredEntry* entry = get_tiered_entry_unlocked(file_id);
-  return entry == nullptr ? nullptr : &entry->snapshot;
-}
-
 const TieredSnapshot* SnapshotStore::get_tiered(u64 file_id) const {
-  SharedLatchGuard guard(latch_);
-  return get_tiered_unlocked(file_id);
+  const TieredEntry* entry = get_tiered_entry(file_id);
+  return entry == nullptr ? nullptr : &entry->snapshot;
 }
 
 const SingleTierSnapshot& SnapshotStore::fetch_single_tier(
@@ -95,10 +79,7 @@ const SingleTierSnapshot& SnapshotStore::fetch_single_tier(
 const TieredSnapshot& SnapshotStore::fetch_tiered(u64 file_id) {
   // At-rest damage is discovered at read time: arm the corruption sites
   // before the lookup so the caller's verify pass sees what a real store
-  // would hand back. Arming mutates the stored blob, so the whole
-  // arm-then-resolve sequence holds the latch exclusive (the RAII guard
-  // unlocks — and bumps the version — even on the throw paths below).
-  ExclusiveLatchGuard guard(latch_);
+  // would hand back.
   if (faults_ != nullptr) {
     if (faults_->should_fire(FaultSite::kTierBitrot)) {
       if (TieredSnapshot* snap = find_tiered_for_damage(file_id);
@@ -111,26 +92,22 @@ const TieredSnapshot& SnapshotStore::fetch_tiered(u64 file_id) {
         snap->truncate_fast_file();
     }
   }
-  const TieredSnapshot* snap = get_tiered_unlocked(file_id);
-  if (snap == nullptr) {
-    const bool quarantined = is_quarantined_unlocked(file_id);
+  const TieredSnapshot* snap = get_tiered(file_id);
+  if (snap == nullptr)
     throw Error(ErrorCode::kSnapshotMissing,
                 "tiered snapshot file " + std::to_string(file_id) +
-                    (quarantined ? " is quarantined" : " not found"));
-  }
+                    (is_quarantined(file_id) ? " is quarantined"
+                                             : " not found"));
   return *snap;
 }
 
-Result<void> SnapshotStore::verify_tiered_unlocked(u64 file_id) const {
-  const TieredEntry* entry = get_tiered_entry_unlocked(file_id);
+Result<void> SnapshotStore::verify_tiered(u64 file_id) const {
+  const TieredEntry* entry = get_tiered_entry(file_id);
   if (entry == nullptr)
     return {ErrorCode::kSnapshotMissing,
             "tiered snapshot file " + std::to_string(file_id) +
-                (is_quarantined_unlocked(file_id) ? " is quarantined"
-                                                  : " not found")};
-  // The shared latch excludes every damage path, so a clean result cannot
-  // go stale while it is being recorded.
-  if (entry->verified.load(std::memory_order_acquire)) {
+                (is_quarantined(file_id) ? " is quarantined" : " not found")};
+  if (entry->verified) {
     TOSS_ASSERT(!entry->snapshot.verify().has_value(),
                 "cached verify result outlived damage to the artifact");
     return {};
@@ -139,61 +116,45 @@ Result<void> SnapshotStore::verify_tiered_unlocked(u64 file_id) const {
     return {ErrorCode::kSnapshotCorrupted,
             "tiered snapshot file " + std::to_string(file_id) + ": " +
                 *violation};
-  entry->verified.store(true, std::memory_order_release);
+  entry->verified = true;
   return {};
 }
 
-Result<void> SnapshotStore::verify_tiered(u64 file_id) const {
-  SharedLatchGuard guard(latch_);
-  return verify_tiered_unlocked(file_id);
-}
-
 u64 SnapshotStore::resident_fast_bytes(u64 file_id) const {
-  SharedLatchGuard guard(latch_);
-  if (const TieredSnapshot* t = get_tiered_unlocked(file_id))
+  if (const TieredSnapshot* t = get_tiered(file_id))
     return bytes_for_pages(t->fast_pages());
-  if (const SingleTierSnapshot* s = get_single_tier_unlocked(file_id))
+  if (const SingleTierSnapshot* s = get_single_tier(file_id))
     return s->memory_bytes();
   return 0;
 }
 
 u64 SnapshotStore::resident_slow_bytes(u64 file_id) const {
-  SharedLatchGuard guard(latch_);
-  if (const TieredSnapshot* t = get_tiered_unlocked(file_id))
+  if (const TieredSnapshot* t = get_tiered(file_id))
     return bytes_for_pages(t->slow_pages());
   return 0;
 }
 
 u64 SnapshotStore::resident_tier_bytes(u64 file_id, size_t rank) const {
-  SharedLatchGuard guard(latch_);
-  if (const TieredSnapshot* t = get_tiered_unlocked(file_id))
+  if (const TieredSnapshot* t = get_tiered(file_id))
     return rank < t->tier_count() ? bytes_for_pages(t->tier_pages(rank)) : 0;
-  if (const SingleTierSnapshot* s = get_single_tier_unlocked(file_id))
+  if (const SingleTierSnapshot* s = get_single_tier(file_id))
     return rank == 0 ? s->memory_bytes() : 0;
   return 0;
 }
 
 void SnapshotStore::quarantine_tiered(u64 file_id) {
-  ExclusiveLatchGuard guard(latch_);
   const u64 fast_id = resolve_tiered(file_id);
   auto it = tiered_.find(fast_id);
   if (it == tiered_.end()) return;
-  it->second.verified.store(false, std::memory_order_release);
-  if (quarantined_.insert(fast_id).second)
-    quarantine_count_.fetch_add(1, std::memory_order_release);
-}
-
-bool SnapshotStore::is_quarantined_unlocked(u64 file_id) const {
-  return quarantined_.count(resolve_tiered(file_id)) > 0;
+  it->second.verified = false;
+  if (quarantined_.insert(fast_id).second) ++quarantine_count_;
 }
 
 bool SnapshotStore::is_quarantined(u64 file_id) const {
-  SharedLatchGuard guard(latch_);
-  return is_quarantined_unlocked(file_id);
+  return quarantined_.count(resolve_tiered(file_id)) > 0;
 }
 
 bool SnapshotStore::corrupt_tiered_page(u64 file_id, u64 fast_file_page) {
-  ExclusiveLatchGuard guard(latch_);
   TieredSnapshot* snap = find_tiered_for_damage(file_id);
   if (snap == nullptr || fast_file_page >= snap->fast_pages()) return false;
   snap->corrupt_fast_page(fast_file_page);
@@ -201,7 +162,6 @@ bool SnapshotStore::corrupt_tiered_page(u64 file_id, u64 fast_file_page) {
 }
 
 bool SnapshotStore::truncate_tiered(u64 file_id) {
-  ExclusiveLatchGuard guard(latch_);
   TieredSnapshot* snap = find_tiered_for_damage(file_id);
   if (snap == nullptr || snap->fast_pages() == 0) return false;
   snap->truncate_fast_file();

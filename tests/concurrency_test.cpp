@@ -1,19 +1,18 @@
-// Tests for the DESIGN.md §15 parallel data-plane primitives: the
-// fork-join LaneExecutor (epoch fan-out, dynamic claiming past a stalled
-// index, exception propagation, every participant in the first epoch)
-// and the vmcache-style optimistic version-stamped latch. Configure with
-// -DTOSS_SANITIZE=thread to have TSan audit the lock-free paths.
+// Tests for the DESIGN.md §15 fork-join LaneExecutor: epoch fan-out,
+// dynamic claiming past a stalled index, error propagation chosen by index
+// order, and every participant in the first epoch. Configure with
+// -DTOSS_SANITIZE=thread to have TSan audit the claim counter and the join.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <atomic>
 #include <chrono>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "platform/concurrency.hpp"
-#include "util/optimistic.hpp"
 
 namespace toss {
 namespace {
@@ -51,25 +50,69 @@ TEST(LaneExecutor, SingleParticipantRunsInline) {
 }
 
 TEST(LaneExecutor, FirstExceptionPropagatesAndExecutorSurvives) {
-  LaneExecutor exec(4);
-  std::atomic<int> completed{0};
-  EXPECT_THROW(exec.run_epoch(32,
-                              [&](size_t i) {
-                                if (i == 3)
-                                  throw std::runtime_error("lane 3 failed");
-                                completed.fetch_add(
-                                    1, std::memory_order_relaxed);
-                              }),
-               std::runtime_error);
-  // Every non-throwing index still completed — the epoch joins fully
-  // before rethrowing, so no straggler leaks into the next epoch.
-  EXPECT_EQ(completed.load(std::memory_order_relaxed), 31);
-  // The executor is reusable after an epoch that threw.
-  std::atomic<int> after{0};
-  exec.run_epoch(16, [&](size_t) {
-    after.fetch_add(1, std::memory_order_relaxed);
-  });
-  EXPECT_EQ(after.load(std::memory_order_relaxed), 16);
+  for (int threads : {1, 2, 4}) {
+    LaneExecutor exec(threads);
+    std::atomic<int> completed{0};
+    EXPECT_THROW(exec.run_epoch(32,
+                                [&](size_t i) {
+                                  if (i == 3)
+                                    throw std::runtime_error("lane 3 failed");
+                                  completed.fetch_add(
+                                      1, std::memory_order_relaxed);
+                                }),
+                 std::runtime_error);
+    // Every non-throwing index still completed, a single participant
+    // included — the epoch joins fully before rethrowing, so no straggler
+    // leaks into the next epoch.
+    EXPECT_EQ(completed.load(std::memory_order_relaxed), 31)
+        << "threads=" << threads;
+    // The executor is reusable after an epoch that threw.
+    std::atomic<int> after{0};
+    exec.run_epoch(16, [&](size_t) {
+      after.fetch_add(1, std::memory_order_relaxed);
+    });
+    EXPECT_EQ(after.load(std::memory_order_relaxed), 16)
+        << "threads=" << threads;
+  }
+}
+
+TEST(LaneExecutor, LowestFailingIndexWinsAtEveryThreadCount) {
+  // Two indices fail with different errors, and the higher one throws
+  // first in wall-clock time: the lower index waits for it. The epoch must
+  // still rethrow the lower index's error at every thread count, so the
+  // error a failed epoch reports does not depend on scheduling.
+  constexpr size_t kLow = 2;
+  constexpr size_t kHigh = 5;
+  for (int threads : {1, 2, 4}) {
+    LaneExecutor exec(threads);
+    for (int repeat = 0; repeat < 20; ++repeat) {
+      std::atomic<bool> high_thrown{false};
+      std::string what;
+      try {
+        exec.run_epoch(8, [&](size_t i) {
+          if (i == kHigh) {
+            high_thrown.store(true, std::memory_order_release);
+            throw std::runtime_error("high");
+          }
+          if (i != kLow) return;
+          // One participant runs the indices in order, so it has nothing
+          // to wait for. Otherwise wait, bounded at ~2 s of 1 ms naps, then
+          // give the higher index's error a moment to be recorded.
+          if (threads > 1) {
+            for (int nap = 0;
+                 nap < 2000 && !high_thrown.load(std::memory_order_acquire);
+                 ++nap)
+              std::this_thread::sleep_for(std::chrono::milliseconds(1));
+            std::this_thread::sleep_for(std::chrono::milliseconds(5));
+          }
+          throw std::runtime_error("low");
+        });
+      } catch (const std::runtime_error& e) {
+        what = e.what();
+      }
+      ASSERT_EQ(what, "low") << "threads=" << threads << " repeat=" << repeat;
+    }
+  }
 }
 
 TEST(LaneExecutor, StalledIndexDoesNotHoldBackTheEpoch) {
@@ -118,91 +161,6 @@ TEST(LaneExecutor, FirstEpochRunsOnEveryParticipant) {
     ASSERT_TRUE(overlapped[0] && overlapped[1])
         << "round " << round << ": the first epoch ran serially";
   }
-}
-
-// ---------------------------------------------------------------------------
-// OptimisticLatch
-
-TEST(OptimisticLatch, ExclusiveUnlockBumpsVersion) {
-  OptimisticLatch latch;
-  const u64 v0 = latch.version();
-  latch.lock_exclusive();
-  latch.unlock_exclusive();
-  EXPECT_EQ(latch.version(), v0 + 1);
-  {
-    ExclusiveLatchGuard guard(latch);
-  }
-  EXPECT_EQ(latch.version(), v0 + 2);
-}
-
-TEST(OptimisticLatch, SharedHoldersExcludeWritersNotEachOther) {
-  OptimisticLatch latch;
-  ASSERT_TRUE(latch.try_lock_shared());
-  EXPECT_TRUE(latch.try_lock_shared());  // readers stack
-  EXPECT_FALSE(latch.try_lock_exclusive());
-  latch.unlock_shared();
-  EXPECT_FALSE(latch.try_lock_exclusive());  // one reader still in
-  latch.unlock_shared();
-  EXPECT_TRUE(latch.try_lock_exclusive());
-  EXPECT_FALSE(latch.try_lock_shared());  // writer excludes readers
-  latch.unlock_exclusive();
-}
-
-TEST(OptimisticLatch, SharedHoldDoesNotBumpVersion) {
-  // Reads must not invalidate optimistic snapshots — only writers do.
-  OptimisticLatch latch;
-  const u64 snap = latch.optimistic_begin();
-  {
-    SharedLatchGuard guard(latch);
-  }
-  EXPECT_TRUE(latch.validate(snap));
-}
-
-TEST(OptimisticLatch, ValidateFailsAfterWriterInterleaves) {
-  OptimisticLatch latch;
-  const u64 snap = latch.optimistic_begin();
-  latch.lock_exclusive();
-  latch.unlock_exclusive();
-  EXPECT_FALSE(latch.validate(snap));
-  // A fresh snapshot taken after the writer validates again.
-  EXPECT_TRUE(latch.validate(latch.optimistic_begin()));
-}
-
-TEST(OptimisticLatch, OptimisticReadersSeeConsistentPairs) {
-  // The protocol's soundness claim: a validated optimistic read of atomic
-  // fields observed no writer, so multi-field invariants hold. A writer
-  // keeps two atomics equal (mutating only under the exclusive latch);
-  // readers that validate must never see them differ.
-  OptimisticLatch latch;
-  std::atomic<u64> a{0}, b{0};
-  std::atomic<bool> stop{false};
-  std::atomic<u64> torn{0}, validated{0};
-  std::vector<std::thread> readers;
-  for (int r = 0; r < 3; ++r) {
-    readers.emplace_back([&] {
-      while (!stop.load(std::memory_order_acquire)) {
-        const u64 snap = latch.optimistic_begin();
-        const u64 got_a = a.load(std::memory_order_acquire);
-        const u64 got_b = b.load(std::memory_order_acquire);
-        if (!latch.validate(snap)) continue;  // writer interleaved: retry
-        validated.fetch_add(1, std::memory_order_relaxed);
-        if (got_a != got_b) torn.fetch_add(1, std::memory_order_relaxed);
-      }
-    });
-  }
-  for (u64 i = 1; i <= 20000; ++i) {
-    ExclusiveLatchGuard guard(latch);
-    a.store(i, std::memory_order_release);
-    b.store(i, std::memory_order_release);
-  }
-  // On a single core the writer may finish before any reader is scheduled;
-  // with the writer quiet every read validates, so this always terminates.
-  while (validated.load(std::memory_order_acquire) == 0)
-    std::this_thread::yield();
-  stop.store(true, std::memory_order_release);
-  for (auto& t : readers) t.join();
-  EXPECT_EQ(torn.load(std::memory_order_relaxed), 0u);
-  EXPECT_GT(validated.load(std::memory_order_relaxed), 0u);
 }
 
 }  // namespace

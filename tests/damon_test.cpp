@@ -73,8 +73,9 @@ TEST_F(DamonMonitorTest, RecordCoversSpaceAndQuantized) {
   EXPECT_TRUE(out.record.valid());
   for (const auto& r : out.record.regions()) {
     // Regions never smaller than the 16 KiB minimum (except trailing).
-    if (r.page_end() != 4096)
+    if (r.page_end() != 4096) {
       EXPECT_GE(r.page_count, cfg.min_region_pages);
+    }
   }
 }
 

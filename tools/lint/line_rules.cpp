@@ -20,6 +20,12 @@
 //   thread-spawn     std::thread/std::jthread/std::async are banned in
 //                    src/ outside src/platform/concurrency.* (the
 //                    LaneExecutor).
+//   shared-lock      std::mutex/shared_mutex/recursive_mutex,
+//                    std::condition_variable(_any), RankedMutex and
+//                    OptimisticLatch are banned in src/ outside
+//                    src/platform/concurrency.* — lanes own their state and
+//                    the fork-join epoch's join is the one synchronisation
+//                    point (DESIGN.md §15).
 //   pragma-once      every header in the scanned tree uses `#pragma once`.
 //   swallowed-error  `catch (...)` and empty catch bodies are banned in
 //                    src/ outside src/util/fault.*.
@@ -116,7 +122,7 @@ void run_line_rules(const SourceFile& f, std::vector<Finding>& findings) {
   const bool in_platform = f.under("src/platform/");
   const bool umbrella_only = f.under("examples/") || f.under("bench/");
   const bool rng_exempt = f.stem_is("src/util/rng");
-  const bool thread_exempt = f.stem_is("src/platform/concurrency");
+  const bool executor_exempt = f.stem_is("src/platform/concurrency");
   const bool catch_exempt = f.stem_is("src/util/fault");
 
   for (size_t i = 0; i < f.code.size(); ++i) {
@@ -176,15 +182,25 @@ void run_line_rules(const SourceFile& f, std::vector<Finding>& findings) {
              "seeded toss::Rng instead"});
     }
 
-    if (in_src && !thread_exempt) {
-      const bool hit = contains_qualified(code, "std::", "thread") ||
-                       contains_qualified(code, "std::", "jthread") ||
-                       contains_qualified(code, "std::", "async");
-      if (hit)
+    if (in_src && !executor_exempt) {
+      const bool spawn = contains_qualified(code, "std::", "thread") ||
+                         contains_qualified(code, "std::", "jthread") ||
+                         contains_qualified(code, "std::", "async");
+      if (spawn)
         findings.push_back(
             {f.rel, line_no, "thread-spawn",
              "thread creation outside platform/concurrency; submit work "
              "to a LaneExecutor"});
+      bool lock = contains_word(code, "RankedMutex") ||
+                  contains_word(code, "OptimisticLatch");
+      for (const char* type : {"mutex", "shared_mutex", "recursive_mutex",
+                               "condition_variable",
+                               "condition_variable_any"})
+        lock = lock || contains_qualified(code, "std::", type);
+      if (lock)
+        findings.push_back(
+            {f.rel, line_no, "shared-lock",
+             "lanes own their state; synchronise only at the epoch join"});
     }
 
     if (in_src) {

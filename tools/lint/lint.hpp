@@ -105,8 +105,8 @@ void find_include_cycles(const Project& project,
 // --- analysis passes -------------------------------------------------------
 
 /// The single-file line rules (deep-include, platform-throw, raw-assert,
-/// nondeterminism, thread-spawn, pragma-once, swallowed-error,
-/// unbounded-wait).
+/// nondeterminism, thread-spawn, shared-lock, pragma-once,
+/// swallowed-error, unbounded-wait).
 void run_line_rules(const SourceFile& f, std::vector<Finding>& findings);
 
 /// Declarative layering over the include graph (layering, include-cycle)
@@ -116,8 +116,5 @@ void run_layering(const Project& project, std::vector<Finding>& findings);
 /// Determinism auditor (det-unordered-iter, det-wallclock, det-ptr-key,
 /// det-fp-accum).
 void run_determinism(const Project& project, std::vector<Finding>& findings);
-
-/// Static lock-rank verifier (lock-rank).
-void run_lock_rank(const Project& project, std::vector<Finding>& findings);
 
 }  // namespace toss_lint

@@ -11,13 +11,12 @@ namespace {
 const char* const kRuleNames[] = {
     // line rules
     "deep-include", "platform-throw", "raw-assert", "nondeterminism",
-    "thread-spawn", "pragma-once", "swallowed-error", "unbounded-wait",
+    "thread-spawn", "shared-lock", "pragma-once", "swallowed-error",
+    "unbounded-wait",
     // layering pass (absorbed host-internal and tier-alias)
     "layering", "include-cycle", "host-internal", "tier-alias",
     // determinism auditor
     "det-unordered-iter", "det-wallclock", "det-ptr-key", "det-fp-accum",
-    // static lock-rank verifier
-    "lock-rank",
 };
 
 /// Rules suppressed on `line` via a toss-lint allow(...) trailer, e.g.
