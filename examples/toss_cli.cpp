@@ -88,7 +88,9 @@ std::optional<Args> parse(int argc, char** argv) {
 
 int cmd_list() {
   AsciiTable t({"name", "memory", "description"});
-  for (const FunctionModel& m : FunctionRegistry::table1().models())
+  // table1() returns by value: keep the registry alive across the loop.
+  const FunctionRegistry registry = FunctionRegistry::table1();
+  for (const FunctionModel& m : registry.models())
     t.add_row({m.name(), std::to_string(m.spec().memory_mb) + " MB",
                m.spec().description});
   t.print();

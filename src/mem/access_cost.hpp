@@ -9,6 +9,7 @@
 #pragma once
 
 #include <array>
+#include <utility>
 #include <vector>
 
 #include "mem/placement.hpp"
@@ -42,9 +43,50 @@ struct AccessBurst {
   u64 bytes() const { return bytes_for_pages(page_count); }
 };
 
+/// Memo of Zipf weights w[i] = 1 / (i+1)^theta, one growing vector per
+/// theta, so a lane computes each weight once instead of on every
+/// invocation. Holds the weights only: each burst sums its own normalizer.
+/// Not synchronized: one lane owns each instance.
+class ZipfWeights {
+ public:
+  /// Weights for `theta`, at least `n` of them (possibly more).
+  const std::vector<double>& weights(double theta, u64 n);
+
+ private:
+  std::vector<std::pair<double, std::vector<double>>> by_theta_;
+};
+
 /// Deterministically expand a burst into per-page access counts
 /// (length == burst.page_count). The counts sum to ~burst.accesses.
-std::vector<u64> expand_burst_counts(const AccessBurst& burst);
+std::vector<u64> expand_burst_counts(const AccessBurst& burst,
+                                     ZipfWeights& memo);
+
+/// Read-only view of a burst's per-page access counts. A uniform burst's
+/// counts have a closed form (base, plus one on the first `rem` pages) and
+/// are never materialized; a skewed burst views its expansion, which must
+/// outlive the view.
+class BurstCounts {
+ public:
+  /// The closed form of a uniform burst (zipf_theta <= 1e-9).
+  static BurstCounts uniform(const AccessBurst& b);
+  /// View of an expansion (expand_burst_counts).
+  BurstCounts(const std::vector<u64>& expanded)  // NOLINT: implicit, as span
+      : expanded_(expanded.data()), size_(expanded.size()) {}
+
+  u64 size() const { return size_; }
+  u64 operator[](u64 i) const {
+    return expanded_ != nullptr ? expanded_[i] : base_ + (i < rem_ ? 1 : 0);
+  }
+  /// Sum over burst pages [begin, end); exact (u64) in any order.
+  u64 sum(u64 begin, u64 end) const;
+
+ private:
+  BurstCounts() = default;
+  const u64* expanded_ = nullptr;
+  u64 size_ = 0;
+  u64 base_ = 0;
+  u64 rem_ = 0;
+};
 
 /// Per-tier time and device-bandwidth demand of a burst, indexed by ladder
 /// rank (0 = fastest); the concurrency model (platform/concurrency.hpp)
@@ -78,14 +120,20 @@ class AccessCostModel {
   Nanos burst_time_uniform(const AccessBurst& b, Tier t) const;
 
   /// Time for a burst under a per-page placement. `counts` must be the
-  /// expansion of `b` (expand_burst_counts); passing it explicitly lets
-  /// callers cache the expansion.
-  Nanos burst_time(const AccessBurst& b, const std::vector<u64>& counts,
+  /// counts of `b` (expand_burst_counts or BurstCounts::uniform); passing
+  /// them explicitly lets callers cache the expansion.
+  Nanos burst_time(const AccessBurst& b, BurstCounts counts,
                    const PagePlacement& placement) const;
 
-  /// Full per-tier time + device-demand breakdown of a burst.
-  BurstCost burst_cost(const AccessBurst& b, const std::vector<u64>& counts,
+  /// Full per-tier time + device-demand breakdown of a burst: counts its
+  /// accesses per placement rank, then prices them (cost_of_accesses).
+  BurstCost burst_cost(const AccessBurst& b, BurstCounts counts,
                        const PagePlacement& placement) const;
+
+  /// Per-tier time + device demand of `b` given how many of its accesses
+  /// land on each ladder rank.
+  BurstCost cost_of_accesses(const AccessBurst& b,
+                             const std::array<u64, kMaxTiers>& accesses) const;
 
   /// Total memory time of a whole trace in a single tier.
   Nanos trace_time_uniform(const std::vector<AccessBurst>& trace,

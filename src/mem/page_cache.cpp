@@ -47,8 +47,8 @@ void HostPageCache::fill_one(u64 file_id, u64 page_index) {
   set_range(file_id, page_index, 1);
 }
 
-void HostPageCache::fill_range(u64 file_id, u64 page_begin, u64 page_count) {
-  set_range(file_id, page_begin, page_count);
+u64 HostPageCache::fill_range(u64 file_id, u64 page_begin, u64 page_count) {
+  return set_range(file_id, page_begin, page_count);
 }
 
 void HostPageCache::drop() {

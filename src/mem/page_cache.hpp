@@ -35,7 +35,8 @@ class HostPageCache {
   void fill_one(u64 file_id, u64 page_index);
 
   /// Cache pages [begin, begin+count) of a file (sequential prefetch).
-  void fill_range(u64 file_id, u64 page_begin, u64 page_count);
+  /// Returns how many of them were not cached before.
+  u64 fill_range(u64 file_id, u64 page_begin, u64 page_count);
 
   /// `echo 3 > /proc/sys/vm/drop_caches` equivalent. Frees one bitmap per
   /// file: O(files), not O(pages cached).

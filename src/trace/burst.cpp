@@ -42,17 +42,22 @@ u64 BurstTrace::footprint_pages(u64 num_guest_pages) const {
   return n;
 }
 
-const std::vector<u64>& BurstTrace::counts_of(size_t i) const {
+BurstCounts BurstTrace::counts(size_t i, ZipfWeights& memo) const {
   TOSS_REQUIRE(i < bursts_.size());
-  if (expansions_[i].empty() && bursts_[i].page_count > 0)
-    expansions_[i] = expand_burst_counts(bursts_[i]);
+  const AccessBurst& b = bursts_[i];
+  if (b.zipf_theta <= 1e-9) return BurstCounts::uniform(b);
+  if (expansions_[i].empty() && b.page_count > 0)
+    expansions_[i] = expand_burst_counts(b, memo);
   return expansions_[i];
 }
 
 void BurstTrace::accumulate_counts(PageAccessCounts& out) const {
+  // A per-call memo: expansions are cached on the trace, so a trace pays
+  // for its weights only on its first use (here or in MicroVm::execute).
+  ZipfWeights memo;
   for (size_t i = 0; i < bursts_.size(); ++i) {
     const auto& b = bursts_[i];
-    const auto& counts = counts_of(i);
+    const BurstCounts counts = this->counts(i, memo);
     for (u64 j = 0; j < b.page_count; ++j)
       if (counts[j] > 0) out.add(b.page_begin + j, counts[j]);
   }
@@ -60,9 +65,10 @@ void BurstTrace::accumulate_counts(PageAccessCounts& out) const {
 
 Nanos BurstTrace::time_under(const AccessCostModel& model,
                              const PagePlacement& placement) const {
+  ZipfWeights memo;  // per call, as in accumulate_counts
   Nanos total = 0;
   for (size_t i = 0; i < bursts_.size(); ++i)
-    total += model.burst_time(bursts_[i], counts_of(i), placement);
+    total += model.burst_time(bursts_[i], counts(i, memo), placement);
   return total;
 }
 

@@ -1,5 +1,6 @@
 // BurstTrace: an invocation's memory activity as an ordered list of access
-// bursts, with lazily cached per-page expansions for timing and profiling.
+// bursts, with lazily cached per-page expansions of its skewed bursts for
+// timing and profiling.
 #pragma once
 
 #include <vector>
@@ -30,8 +31,10 @@ class BurstTrace {
   /// Highest page index touched, +1 (0 for an empty trace).
   u64 max_page_end() const;
 
-  /// Per-page expansion of burst `i` (cached on first use).
-  const std::vector<u64>& counts_of(size_t i) const;
+  /// Per-page access counts of burst `i`. A uniform burst's are a closed
+  /// form; a skewed burst is expanded with `memo`'s weights on first use
+  /// and cached here.
+  BurstCounts counts(size_t i, ZipfWeights& memo) const;
 
   /// Accumulate this trace's per-page counts into `out` (out must cover the
   /// guest; see PageAccessCounts::accumulate).
@@ -46,7 +49,8 @@ class BurstTrace {
 
  private:
   std::vector<AccessBurst> bursts_;
-  mutable std::vector<std::vector<u64>> expansions_;  // parallel to bursts_
+  /// Parallel to bursts_; filled only for skewed (Zipf) bursts.
+  mutable std::vector<std::vector<u64>> expansions_;
 };
 
 }  // namespace toss

@@ -91,7 +91,7 @@ constexpr std::optional<FaultSite> fault_site_from_name(
 /// per-arm chance on top. Both empty/zero = the site never fires.
 struct FaultConfig {
   double probability = 0.0;
-  std::vector<u64> schedule;
+  std::vector<u64> schedule{};
   u64 max_fires = ~u64{0};
   /// Magnitude for kSlowTierStall (added to restore setup time).
   Nanos delay_ns = 0;

@@ -21,6 +21,8 @@ class GuestMemory {
 
   u32 version(u64 page) const { return versions_[page]; }
   void set_version(u64 page, u32 v) { versions_[page] = v; }
+  /// Copy `count` versions from `src` onto pages [page, page + count).
+  void set_versions(u64 page, const u32* src, u64 count);
   void bump_version(u64 page) { ++versions_[page]; }
 
   const std::vector<u32>& versions() const { return versions_; }

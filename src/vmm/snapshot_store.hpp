@@ -29,6 +29,7 @@
 #include <memory>
 #include <set>
 
+#include "mem/access_cost.hpp"
 #include "mem/page_cache.hpp"
 #include "mem/tier.hpp"
 #include "util/error.hpp"
@@ -109,6 +110,10 @@ class SnapshotStore {
   /// Methodology step: drop all cached snapshot pages.
   void drop_caches() { page_cache_.drop(); }
 
+  /// The lane's Zipf-weight memo: every MicroVm on this store expands its
+  /// skewed bursts with it, so each weight is computed once per lane.
+  ZipfWeights& zipf_weights() { return zipf_weights_; }
+
   /// Sequential read of `bytes` from disk (or zero if fully cached — callers
   /// check the cache themselves for partial hits).
   Nanos seq_read_ns(u64 bytes) const;
@@ -147,6 +152,7 @@ class SnapshotStore {
   std::map<u64, u64> tiered_alias_;  ///< deep-rank id -> rank-0 id
   std::set<u64> quarantined_;        ///< rank-0 ids
   HostPageCache page_cache_;
+  ZipfWeights zipf_weights_;
 };
 
 }  // namespace toss

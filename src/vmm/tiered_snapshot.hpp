@@ -40,8 +40,9 @@ class TieredSnapshot {
   u64 tier_pages(size_t rank) const {
     return static_cast<u64>(tier_versions_[rank].size());
   }
-  u32 tier_page_version(size_t rank, u64 file_page) const {
-    return tier_versions_[rank][file_page];
+  /// Every page version of rank `rank`'s file, in file order.
+  const std::vector<u32>& tier_versions(size_t rank) const {
+    return tier_versions_[rank];
   }
 
   /// Convenience rollups: the fastest rank, and everything below it.

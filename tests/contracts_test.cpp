@@ -11,6 +11,7 @@
 
 #include "core/binpack.hpp"
 #include "util/contracts.hpp"
+#include "vmm/microvm.hpp"
 #include "vmm/tiered_snapshot.hpp"
 
 namespace toss {
@@ -188,6 +189,17 @@ TEST(ContractsDeathTest, ValidateAbortsOnUnconservedBins) {
   std::vector<Bin> bins = pack_equal_access(regions, 4);
   bins[2].access_mass += 5;
   EXPECT_DEATH(TOSS_VALIDATE(validate_bins(bins, regions)), "bin 2");
+}
+
+TEST(ContractsDeathTest, RestoreAbortsOnOverlappingMappings) {
+  const SystemConfig cfg = SystemConfig::paper_default();
+  SnapshotStore store(cfg);
+  MicroVm vm(cfg, store);
+  RestorePlan plan;
+  plan.guest_pages = 64;
+  plan.mappings.push_back(RestoreMapping{0, 40, tier_index(0), 0, 0, false});
+  plan.mappings.push_back(RestoreMapping{32, 32, tier_index(0), 0, 0, false});
+  EXPECT_DEATH(vm.restore(plan), "sorted by guest_page and disjoint");
 }
 
 TEST(Contracts, EnabledReportsChecked) {

@@ -15,6 +15,12 @@
 namespace toss {
 namespace {
 
+/// A burst's counts from a fresh memo, as a lane's first use of a theta.
+std::vector<u64> expand(const AccessBurst& b) {
+  ZipfWeights memo;
+  return expand_burst_counts(b, memo);
+}
+
 TEST(TierSpec, PaperDefaults) {
   const SystemConfig cfg = SystemConfig::paper_default();
   EXPECT_EQ(cfg.tier_count(), 2u);
@@ -158,7 +164,7 @@ TEST(Placement, ApplyFloorDemotesShallowRanks) {
 
 TEST(ExpandBurst, UniformSumsExactly) {
   AccessBurst b{0, 10, 1234, Pattern::kSequential, 0.0, 0.0};
-  const auto counts = expand_burst_counts(b);
+  const auto counts = expand(b);
   ASSERT_EQ(counts.size(), 10u);
   u64 sum = 0;
   for (u64 c : counts) sum += c;
@@ -167,7 +173,7 @@ TEST(ExpandBurst, UniformSumsExactly) {
 
 TEST(ExpandBurst, ZipfHotPrefix) {
   AccessBurst b{0, 100, 100000, Pattern::kRandom, 0.0, 1.0};
-  const auto counts = expand_burst_counts(b);
+  const auto counts = expand(b);
   u64 sum = 0;
   for (u64 c : counts) sum += c;
   EXPECT_EQ(sum, 100000u);
@@ -179,7 +185,7 @@ TEST(ExpandBurst, ZipfHotPrefix) {
 
 TEST(ExpandBurst, ZeroAccesses) {
   AccessBurst b{0, 4, 0, Pattern::kRandom, 0.0, 0.5};
-  const auto counts = expand_burst_counts(b);
+  const auto counts = expand(b);
   for (u64 c : counts) EXPECT_EQ(c, 0u);
 }
 
@@ -224,7 +230,7 @@ TEST(AccessCostLadder, DeeperRungsCostMoreEveryPreset) {
 
 TEST_F(AccessCostTest, BurstTimeUniformMatchesPlacement) {
   AccessBurst b{0, 64, 10000, Pattern::kRandom, 0.2, 0.7};
-  const auto counts = expand_burst_counts(b);
+  const auto counts = expand(b);
   PagePlacement all_fast(64, tier_index(0));
   PagePlacement all_slow(64, tier_index(1));
   EXPECT_NEAR(model.burst_time(b, counts, all_fast),
@@ -235,7 +241,7 @@ TEST_F(AccessCostTest, BurstTimeUniformMatchesPlacement) {
 
 TEST_F(AccessCostTest, MixedPlacementBetweenExtremes) {
   AccessBurst b{0, 64, 10000, Pattern::kRandom, 0.0, 0.5};
-  const auto counts = expand_burst_counts(b);
+  const auto counts = expand(b);
   PagePlacement mixed(64, tier_index(0));
   mixed.set_range(32, 32, tier_index(1));
   const Nanos fast = model.burst_time_uniform(b, tier_index(0));
@@ -248,7 +254,7 @@ TEST_F(AccessCostTest, MixedPlacementBetweenExtremes) {
 TEST_F(AccessCostTest, OffloadingColdHalfCheaperThanHotHalf) {
   // Hot prefix: offloading the *tail* must cost less than the head.
   AccessBurst b{0, 64, 100000, Pattern::kRandom, 0.0, 1.2};
-  const auto counts = expand_burst_counts(b);
+  const auto counts = expand(b);
   PagePlacement cold_off(64, tier_index(0)), hot_off(64, tier_index(0));
   cold_off.set_range(32, 32, tier_index(1));
   hot_off.set_range(0, 32, tier_index(1));
@@ -258,7 +264,7 @@ TEST_F(AccessCostTest, OffloadingColdHalfCheaperThanHotHalf) {
 
 TEST_F(AccessCostTest, DemandBytesSplitByWriteFraction) {
   AccessBurst b{0, 16, 1000, Pattern::kSequential, 0.25, 0.0};
-  const auto counts = expand_burst_counts(b);
+  const auto counts = expand(b);
   PagePlacement all_slow(16, tier_index(1));
   const BurstCost c = model.burst_cost(b, counts, all_slow);
   EXPECT_DOUBLE_EQ(c.tier_read_bytes[0], 0.0);
@@ -272,7 +278,7 @@ TEST_F(AccessCostTest, DemandBytesSplitByWriteFraction) {
 
 TEST_F(AccessCostTest, RandomDemandAmplifiedOnSlowTier) {
   AccessBurst b{0, 16, 1000, Pattern::kRandom, 0.0, 0.0};
-  const auto counts = expand_burst_counts(b);
+  const auto counts = expand(b);
   PagePlacement slow(16, tier_index(1)), fast(16, tier_index(0));
   const BurstCost cs = model.burst_cost(b, counts, slow);
   const BurstCost cf = model.burst_cost(b, counts, fast);
@@ -289,7 +295,7 @@ TEST(AccessCostLadder, BurstCostChargesTheResidentRank) {
   const SystemConfig cfg = SystemConfig::cxl_host();
   AccessCostModel model(cfg);
   AccessBurst b{0, 32, 5000, Pattern::kRandom, 0.0, 0.0};
-  const auto counts = expand_burst_counts(b);
+  const auto counts = expand(b);
   PagePlacement deep(32, tier_index(2));
   const BurstCost c = model.burst_cost(b, counts, deep);
   EXPECT_GT(c.tier_ns[2], 0);

@@ -2,8 +2,13 @@
 // snapshots, the snapshot store and the MicroVm fault/timing behaviour.
 #include <gtest/gtest.h>
 
+#include <initializer_list>
 #include <vector>
 
+#include "baseline/faasnap.hpp"
+#include "baseline/reap.hpp"
+#include "baseline/vanilla.hpp"
+#include "core/tierer.hpp"
 #include "vmm/layout.hpp"
 #include "vmm/microvm.hpp"
 #include "vmm/snapshot.hpp"
@@ -196,7 +201,7 @@ TEST_F(TieredSnapshotTest, LocateAgreesWithPlacement) {
     const auto loc = tiered.locate(p);
     EXPECT_EQ(loc.tier, placement.tier_of(p)) << p;
     const u32 version =
-        tiered.tier_page_version(tier_rank(loc.tier), loc.file_page);
+        tiered.tier_versions(tier_rank(loc.tier))[loc.file_page];
     EXPECT_EQ(version, mem.version(p)) << p;
   }
 }
@@ -490,6 +495,54 @@ TEST_F(MicroVmTest, RestoreMaterializesTieredContent) {
   MicroVm vm2(cfg, store);
   vm2.restore(plan);
   EXPECT_EQ(vm2.memory(), want);
+}
+
+TEST_F(MicroVmTest, EveryPolicyPlansSortedDisjointMappings) {
+  // restore() requires mappings sorted by guest_page and disjoint. Build a
+  // Step-I snapshot with two touched ranges and a tiered artifact with four
+  // layout runs, then check every shipped policy's plan and that each
+  // restores the snapshot's contents.
+  constexpr u64 kPages = 256;
+  MicroVm vm(cfg, store);
+  vm.boot(bytes_for_pages(kPages), VmState{});
+  BurstTrace first;
+  first.push_back(AccessBurst{8, 16, 160, Pattern::kRandom, 0.5, 0.0});
+  first.push_back(AccessBurst{100, 40, 400, Pattern::kSequential, 0.3, 0.0});
+  vm.execute(first, ms(1));
+  vm.apply_writes(first);
+  const u64 single = vm.take_snapshot();
+  PagePlacement placement(kPages, tier_index(0));
+  placement.set_range(64, 64, tier_index(1));
+  placement.set_range(200, 56, tier_index(1));
+  const u64 tiered =
+      tier_snapshot(store, *store.get_single_tier(single), placement);
+
+  const VanillaPolicy vanilla(store, single);
+  const ReapPolicy reap(store, single,
+                        ReapPolicy::record_working_set(first, kPages));
+  const FaasnapPolicy faasnap(
+      store, single,
+      FaasnapPolicy::record_working_set(first, kPages,
+                                        store.page_cache().readahead_pages()));
+  const TossPolicy toss(store, tiered);
+  for (const RestorePolicy* policy :
+       std::initializer_list<const RestorePolicy*>{&vanilla, &reap, &faasnap,
+                                                    &toss}) {
+    SCOPED_TRACE(policy->name());
+    const RestorePlan plan = policy->plan_restore();
+    ASSERT_FALSE(plan.mappings.empty());
+    u64 end = 0;
+    for (const RestoreMapping& m : plan.mappings) {
+      EXPECT_GE(m.guest_page, end);
+      end = m.guest_page + m.page_count;
+    }
+    EXPECT_LE(end, plan.guest_pages);
+    MicroVm restored(cfg, store);
+    restored.restore(plan);
+    EXPECT_EQ(restored.memory(), vm.memory());
+  }
+  EXPECT_GT(faasnap.plan_restore().mapping_count(), 2u);
+  EXPECT_EQ(toss.plan_restore().mapping_count(), 4u);
 }
 
 // ---------------------------------------------------------------------------
